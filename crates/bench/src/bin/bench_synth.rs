@@ -416,22 +416,22 @@ fn run_symmetry_pair(cfg: &SynthConfig, max_events: usize) -> (Mode, Mode) {
     (full, reduced)
 }
 
-/// The scheduling study: a 2-shard symmetry-reduced sweep of the 3-thread
-/// space through the checkpointed runner, shards racing side by side the
-/// way a supervised pair does, one worker each. Once with the static
-/// dispatch of earlier releases (`sched: false` — whole units, FIFO order,
-/// a fixed `id % 2` slice per shard) and once with adaptive scheduling
-/// (weight-ordered dispatch, pre-split oversized units, lease-claimed
-/// cross-shard stealing from the shared frontier). The measured quantity
-/// is the **makespan** — wall clock until *both* shards finish — which is
-/// exactly what static sharding loses to straggler shards and the
-/// adaptive scheduler recovers.
+/// The scheduling study: a symmetry-reduced sweep of the 3-thread space
+/// through the checkpointed runner on two cores' worth of workers. Once as
+/// two static shards racing side by side the way a supervised pair does,
+/// one worker each, with the dispatch of earlier releases (`sched: false`
+/// — whole units, FIFO order, a fixed `id % 2` slice per shard), and once
+/// as one process with two worker threads and adaptive scheduling
+/// (weight-ordered dispatch, pre-split oversized units, cooperative
+/// mid-run splits). The measured quantity is the **makespan** — wall clock
+/// until every worker finishes — which is exactly what static sharding
+/// loses to straggler shards and in-process LPT recovers.
 fn run_sched_pair(cfg: &SynthConfig, max_events: usize) -> (Mode, Mode) {
     let tm = X86Model::tm();
     let scratch = std::env::temp_dir().join(format!("bench-sweep-sched-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
 
-    let shard_pair = |tag: &str, sched: bool| {
+    let shard_set = |tag: &str, shards: u32, sched: bool| {
         let job = SweepJob {
             model: &tm,
             baseline: None,
@@ -441,21 +441,17 @@ fn run_sched_pair(cfg: &SynthConfig, max_events: usize) -> (Mode, Mode) {
             events: max_events,
             symmetry: Symmetry::Reduced,
         };
-        let lease = scratch.join(format!("{tag}-leases"));
         let start = Instant::now();
         let outcomes: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..2u32)
+            let handles: Vec<_> = (0..shards)
                 .map(|i| {
                     let dir = scratch.join(format!("{tag}-shard-{i}"));
-                    let (job, lease) = (&job, lease.clone());
+                    let job = &job;
                     scope.spawn(move || {
                         let mut opts = SweepOptions::new(dir);
-                        opts.shard = Some((i, 2));
-                        opts.threads = Some(1);
+                        opts.shard = (shards > 1).then_some((i, shards));
+                        opts.threads = Some(2 / shards as usize);
                         opts.sched = sched;
-                        if sched {
-                            opts.lease_dir = Some(lease);
-                        }
                         run_sweep(job, &opts).expect("sched bench shard")
                     })
                 })
@@ -473,11 +469,11 @@ fn run_sched_pair(cfg: &SynthConfig, max_events: usize) -> (Mode, Mode) {
         (seconds, visited, consistent, weighted)
     };
 
-    let (off_secs, off_visited, off_consistent, off_weighted) = shard_pair("static", false);
-    let (on_secs, on_visited, on_consistent, on_weighted) = shard_pair("adaptive", true);
+    let (off_secs, off_visited, off_consistent, off_weighted) = shard_set("static", 2, false);
+    let (on_secs, on_visited, on_consistent, on_weighted) = shard_set("adaptive", 1, true);
     let _ = std::fs::remove_dir_all(&scratch);
 
-    // Scheduling is pure dispatch: split or stolen, the two runs must
+    // Scheduling is pure dispatch: sharded or split, the two runs must
     // visit the same representatives and reach the same verdicts.
     assert_eq!(
         off_visited, on_visited,
@@ -645,7 +641,7 @@ fn main() {
     let symmetry_started = Instant::now();
     let (full3, symmetry) = run_symmetry_pair(&cfg3, max_events);
     let symmetry_wall = symmetry_started.elapsed().as_secs_f64();
-    eprintln!("sched: x86-trimmed-3t, |E| = {max_events}, 2-shard makespan, static vs adaptive");
+    eprintln!("sched: x86-trimmed-3t, |E| = {max_events}, 2-worker makespan, static vs adaptive");
     let sched_started = Instant::now();
     let (sched_static, sched_adaptive) = run_sched_pair(&cfg3, max_events);
     let sched_wall = sched_started.elapsed().as_secs_f64();
@@ -776,13 +772,13 @@ fn main() {
     }
     // Adaptive scheduling must beat static 2-shard dispatch on makespan by
     // at least 1.3x (the |E| = 6 acceptance bar). The gain is recovered
-    // *parallel* idle time — a straggler shard leaving the other cores'
-    // workers starved — so the gate arms only where that idle time can
-    // exist: two shards need at least two real cores, and the run must be
-    // long enough for the straggler effect to dominate startup noise. On a
-    // single core the two shards timeshare one serial resource, every
-    // schedule has the same makespan, and the recorded ratio only measures
-    // the (small) lease and weighing overhead.
+    // *parallel* idle time — a straggler shard leaving the other core
+    // starved — so the gate arms only where that idle time can exist: two
+    // workers need at least two real cores, and the run must be long
+    // enough for the straggler effect to dominate startup noise. On a
+    // single core both sides timeshare one serial resource, every schedule
+    // has the same makespan, and the recorded ratio only measures the
+    // (small) weighing and splitting overhead.
     if cores >= 2 && sched_static.seconds >= 0.5 {
         assert!(
             sched_makespan_gain >= 1.3,

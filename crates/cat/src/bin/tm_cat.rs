@@ -40,8 +40,11 @@
 //!                       suites identical to an uninterrupted one
 //!   --resume            replay an existing journal and continue it
 //!   --shard I/M         run only work units with id % M == I
-//!   --supervise M       spawn M shard children (checkpoints DIR/shard-I),
-//!                       restart crashed ones, then merge their journals
+//!   --supervise M       spawn M shard children (checkpoints DIR/shard-I,
+//!                       each running the static slice --shard I/M),
+//!                       restart crashed ones from their checkpoints, then
+//!                       merge their journals (a unit completed in two
+//!                       journals fails the merge, exit 2)
 //!   --budget SECS       wall-clock budget; unfinished units stay pending
 //!   --unit-deadline S   per-unit deadline; over-deadline units are retried,
 //!                       then quarantined
@@ -53,19 +56,11 @@
 //!
 //! `sweep` scheduling (adaptive dispatch; see README "Scheduling"):
 //!   --sched on|off      weight-ordered (heaviest-first) dispatch with
-//!                       cooperative unit splitting, and — under
-//!                       --supervise — cross-shard work stealing through a
-//!                       shared lease directory (default on; `off` restores
-//!                       FIFO order and static `id % M` shards)
+//!                       cooperative unit splitting among a process's
+//!                       worker threads (default on; `off` restores whole
+//!                       units in FIFO order)
 //!   --max-unit-weight N pre-split any unit whose weight bound exceeds N
 //!                       (default: full sweep weight / 4·threads)
-//!   --lease-dir DIR     claim units from the whole frontier via atomic
-//!                       lease files in DIR instead of a static shard slice
-//!                       (needs --shard; --supervise sets this up itself)
-//!   --lease-stale-ms MS reap leases idle longer than MS so survivors can
-//!                       steal a dead shard's units (default 10000)
-//!   --launch N          provenance stamp for lease claims (set by the
-//!                       supervisor on restarts; default 0)
 //!
 //! `sweep` observability (see README "Observability"):
 //!   --progress          live stderr progress line (`units done/total,
@@ -160,8 +155,7 @@ fn usage() -> ExitCode {
          [--checkpoint DIR [--resume] \
          [--shard I/M | --supervise M] [--budget SECS]\n                 [--unit-deadline SECS] \
          [--retries N] [--backoff-ms MS] [--sync-batch N]\n                 [--fail-plan KIND:K] \
-         [--sched on|off] [--max-unit-weight N]\n                 [--lease-dir DIR] \
-         [--lease-stale-ms MS] [--launch N]\n                 \
+         [--sched on|off] [--max-unit-weight N]\n                 \
          [--progress] [--report PATH] [--obs null|stderr|json:PATH]]\n  \
          tm-cat lint <file.cat> [--deny warnings]"
     );
@@ -395,9 +389,6 @@ struct SweepArgs {
     fail_plan: Option<FailPlan>,
     sched: bool,
     max_unit_weight: Option<u64>,
-    lease_dir: Option<PathBuf>,
-    lease_stale_ms: u64,
-    launch: u32,
     progress: bool,
     report: Option<PathBuf>,
     obs_sink: SinkKind,
@@ -450,9 +441,6 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, ExitCode> {
         fail_plan: None,
         sched: true,
         max_unit_weight: None,
-        lease_dir: None,
-        lease_stale_ms: 10_000,
-        launch: 0,
         progress: false,
         report: None,
         obs_sink: SinkKind::Null,
@@ -485,7 +473,7 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, ExitCode> {
             "--baseline" | "--events" | "--config" | "--expect" | "--symmetry" | "--checkpoint"
             | "--shard" | "--supervise" | "--budget" | "--unit-deadline" | "--retries"
             | "--backoff-ms" | "--sync-batch" | "--fail-plan" | "--sched" | "--max-unit-weight"
-            | "--lease-dir" | "--lease-stale-ms" | "--launch" | "--report" | "--obs" => {
+            | "--report" | "--obs" => {
                 let Some(value) = value else {
                     return Err(fail(format!("{flag} expects a value")));
                 };
@@ -553,17 +541,6 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, ExitCode> {
                         }
                         parsed.max_unit_weight = Some(n);
                     }
-                    "--lease-dir" => parsed.lease_dir = Some(PathBuf::from(value)),
-                    "--lease-stale-ms" => {
-                        parsed.lease_stale_ms = value
-                            .parse()
-                            .map_err(|_| fail("--lease-stale-ms expects milliseconds".into()))?
-                    }
-                    "--launch" => {
-                        parsed.launch = value
-                            .parse()
-                            .map_err(|_| fail("--launch expects a number".into()))?
-                    }
                     "--report" => parsed.report = Some(PathBuf::from(value)),
                     "--obs" => parsed.obs_sink = SinkKind::parse(value).map_err(fail)?,
                     _ => unreachable!("matched above"),
@@ -589,22 +566,11 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, ExitCode> {
             || parsed.budget.is_some()
             || parsed.unit_deadline.is_some()
             || parsed.fail_plan.is_some()
-            || parsed.max_unit_weight.is_some()
-            || parsed.lease_dir.is_some())
+            || parsed.max_unit_weight.is_some())
     {
         return Err(fail(
             "--resume/--shard/--supervise/--budget/--unit-deadline/--fail-plan/\
-             --max-unit-weight/--lease-dir need --checkpoint DIR"
-                .into(),
-        ));
-    }
-    // Lease-based claiming replaces the static shard *slice* but still needs
-    // the shard *identity* to stamp its claims (the runner enforces this
-    // too; failing here gives the nicer message).
-    if parsed.lease_dir.is_some() && parsed.shard.is_none() {
-        return Err(fail(
-            "--lease-dir needs --shard I/M (or use --supervise M, which manages \
-             the lease directory itself)"
+             --max-unit-weight need --checkpoint DIR"
                 .into(),
         ));
     }
@@ -662,7 +628,7 @@ fn sweep(args: &[String]) -> ExitCode {
     };
 
     if parsed.supervise.is_some() {
-        return sweep_supervised(&parsed);
+        return sweep_supervised(&parsed, &model, baseline.as_ref(), &config);
     }
     if parsed.checkpoint.is_some() {
         return sweep_checkpointed(&parsed, &model, baseline.as_ref(), &config);
@@ -998,17 +964,18 @@ fn report_outcome(parsed: &SweepArgs, outcome: &SweepOutcome, secs: f64) -> u8 {
     code
 }
 
-fn sweep_checkpointed(
+/// The job a checkpointed or supervised sweep runs (and merges).
+fn sweep_job<'a>(
     parsed: &SweepArgs,
-    model: &IrModel,
-    baseline: Option<&IrModel>,
-    config: &SynthConfig,
-) -> ExitCode {
-    let reference = parsed.expect.map(|t| t.model());
-    let job = SweepJob {
+    model: &'a IrModel,
+    baseline: Option<&'a IrModel>,
+    reference: Option<&'a dyn MemoryModel>,
+    config: &'a SynthConfig,
+) -> SweepJob<'a> {
+    SweepJob {
         model,
         baseline: baseline.map(|b| b as &dyn MemoryModel),
-        reference: reference.as_deref(),
+        reference,
         mode: if parsed.suites {
             SweepMode::Suites
         } else {
@@ -1017,7 +984,17 @@ fn sweep_checkpointed(
         config,
         events: parsed.events,
         symmetry: parsed.symmetry,
-    };
+    }
+}
+
+fn sweep_checkpointed(
+    parsed: &SweepArgs,
+    model: &IrModel,
+    baseline: Option<&IrModel>,
+    config: &SynthConfig,
+) -> ExitCode {
+    let reference = parsed.expect.map(|t| t.model());
+    let job = sweep_job(parsed, model, baseline, reference.as_deref(), config);
     let checkpoint = parsed.checkpoint.clone().expect("checked by caller");
     println!(
         "checkpointed sweep of `{}` (|E| = {}, {}), journal at {}{}",
@@ -1054,8 +1031,6 @@ fn sweep_checkpointed(
         fail_plan: parsed.fail_plan,
         sched: parsed.sched,
         max_unit_weight: parsed.max_unit_weight,
-        lease_dir: parsed.lease_dir.clone(),
-        launch: parsed.launch,
         obs: obs.clone(),
         progress: parsed.progress,
         ..SweepOptions::new(checkpoint)
@@ -1083,10 +1058,16 @@ fn sweep_checkpointed(
     }
 }
 
-/// `--supervise M`: run M shard children of this very binary (each with its
-/// own checkpoint under the parent directory), restart crashed ones, then
-/// merge their journals into the final result.
-fn sweep_supervised(parsed: &SweepArgs) -> ExitCode {
+/// `--supervise M`: run M shard children of this very binary (each owning
+/// the static slice `--shard I/M`, with its own checkpoint under the parent
+/// directory), restart crashed ones from their checkpoints, then merge
+/// their journals into the final result.
+fn sweep_supervised(
+    parsed: &SweepArgs,
+    model: &IrModel,
+    baseline: Option<&IrModel>,
+    config: &SynthConfig,
+) -> ExitCode {
     let shards = parsed.supervise.expect("checked by caller");
     let checkpoint = parsed.checkpoint.clone().expect("checked by caller");
     let exe = match std::env::current_exe() {
@@ -1105,53 +1086,18 @@ fn sweep_supervised(parsed: &SweepArgs) -> ExitCode {
     let dirs: Vec<PathBuf> = (0..shards).map(shard_dir).collect();
     let start = std::time::Instant::now();
 
-    // With scheduling on, the shards claim units from the whole frontier
-    // through a shared lease directory instead of owning a static `id % M`
-    // slice; the supervisor reaps stale leases below so survivors steal a
-    // dead shard's units.
-    let lease_dir = if parsed.sched {
-        let dir = checkpoint.join(tm_sweep::LEASE_DIR);
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!(
-                "tm-cat: cannot create lease directory {}: {e}",
-                dir.display()
-            );
-            return ExitCode::from(2);
-        }
-        Some(dir)
-    } else {
-        None
-    };
-    let stale_after = Duration::from_millis(parsed.lease_stale_ms);
-
     // Live progress: the children write heartbeat files next to their
-    // journals unconditionally; the supervisor folds them into one stderr
-    // line, rate-limited so the poll loop stays cheap. Lease-mode shards
-    // all report the shared frontier, so their totals max rather than sum.
+    // journals unconditionally; the supervisor sums them into one stderr
+    // line, rate-limited so the poll loop stays cheap.
     let mut last_print = std::time::Instant::now() - Duration::from_secs(1);
-    let mut last_reap = std::time::Instant::now();
     let mut eta = tm_obs::RateWindow::new(tm_sweep::report::ETA_WINDOW_SECS);
     let progress_dirs = dirs.clone();
-    let reap_dir = lease_dir.clone();
     let on_poll = move || {
-        if let Some(dir) = &reap_dir {
-            if last_reap.elapsed() >= Duration::from_millis(250) {
-                last_reap = std::time::Instant::now();
-                if let Ok(n @ 1..) = tm_sweep::reap_stale(dir, stale_after) {
-                    eprintln!("sweep: reassigned {n} stale lease(s)");
-                }
-            }
-        }
         if !parsed.progress || last_print.elapsed() < Duration::from_millis(200) {
             return;
         }
         last_print = std::time::Instant::now();
-        let hb = if reap_dir.is_some() {
-            Heartbeat::aggregate_shared(&progress_dirs)
-        } else {
-            Heartbeat::aggregate(&progress_dirs)
-        };
-        if let Some(hb) = hb {
+        if let Some(hb) = Heartbeat::aggregate(&progress_dirs) {
             eta.push(start.elapsed().as_secs_f64(), hb.done as f64);
             eprint!("\r{}", hb.progress_line(eta.rate()));
             use std::io::Write as _;
@@ -1188,13 +1134,6 @@ fn sweep_supervised(parsed: &SweepArgs) -> ExitCode {
             if let Some(n) = parsed.max_unit_weight {
                 cmd.arg("--max-unit-weight").arg(n.to_string());
             }
-            if let Some(dir) = &lease_dir {
-                cmd.arg("--lease-dir").arg(dir);
-                // Stamp claims with the launch generation so a restarted
-                // shard's leases are distinguishable from its dead past
-                // self's in post-mortems.
-                cmd.arg("--launch").arg(launch.to_string());
-            }
             if let Some(d) = parsed.unit_deadline {
                 cmd.arg("--unit-deadline").arg(d.as_secs_f64().to_string());
             }
@@ -1223,12 +1162,7 @@ fn sweep_supervised(parsed: &SweepArgs) -> ExitCode {
         on_poll,
     );
     if parsed.progress {
-        let hb = if lease_dir.is_some() {
-            Heartbeat::aggregate_shared(&dirs)
-        } else {
-            Heartbeat::aggregate(&dirs)
-        };
-        if let Some(hb) = hb {
+        if let Some(hb) = Heartbeat::aggregate(&dirs) {
             // A finished run renders ETA 0s regardless of the rate; a
             // budget-stopped one honestly shows `--`.
             eprintln!("\r{}", hb.progress_line(None));
@@ -1258,38 +1192,8 @@ fn sweep_supervised(parsed: &SweepArgs) -> ExitCode {
 
     // Merge whatever the shards journalled — even a shard that never
     // finished contributes its completed units.
-    let model = match load_or_exit(&parsed.path) {
-        Ok(m) => m,
-        Err(code) => return code,
-    };
-    let baseline = match &parsed.baseline_path {
-        Some(path) => match load_or_exit(path) {
-            Ok(m) => Some(m),
-            Err(code) => return code,
-        },
-        None => None,
-    };
-    let config = match parse_config(&parsed.config_name, parsed.events) {
-        Ok(c) => c,
-        Err(msg) => {
-            eprintln!("tm-cat: {msg}");
-            return ExitCode::from(2);
-        }
-    };
     let reference = parsed.expect.map(|t| t.model());
-    let job = SweepJob {
-        model: &model,
-        baseline: baseline.as_ref().map(|b| b as &dyn MemoryModel),
-        reference: reference.as_deref(),
-        mode: if parsed.suites {
-            SweepMode::Suites
-        } else {
-            SweepMode::Counts
-        },
-        config: &config,
-        events: parsed.events,
-        symmetry: parsed.symmetry,
-    };
+    let job = sweep_job(parsed, model, baseline, reference.as_deref(), config);
     match merge_sharded(&job, &dirs) {
         Ok(outcome) => {
             if let Some(path) = &parsed.report {

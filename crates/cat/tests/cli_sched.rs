@@ -1,11 +1,13 @@
-//! End-to-end tests of the adaptive scheduler through the real `tm-cat`
-//! binary: a SIGKILLed lease-holding shard must lose its leases to the
-//! supervisor's reaper, survivors must steal and finish the work, and the
-//! final suites must be byte-identical to an unsharded run.
+//! End-to-end tests of scheduling and supervision through the real `tm-cat`
+//! binary: a SIGKILLed static shard must be restarted from its checkpoint
+//! by `--supervise`, and the final suites must be byte-identical to an
+//! unsharded run.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
+
+use tm_sweep::journal::{self, Record};
 
 const BIN: &str = env!("CARGO_BIN_EXE_tm-cat");
 
@@ -35,23 +37,26 @@ impl Drop for Scratch {
     }
 }
 
+fn sweep_command(extra: &[&str]) -> Command {
+    let mut cmd = Command::new(BIN);
+    cmd.args([
+        "sweep",
+        TM_MODEL,
+        "--suites",
+        "--baseline",
+        BASE_MODEL,
+        "--events",
+        "3",
+        "--config",
+        "x86",
+    ])
+    .args(extra)
+    .env_remove("TM_SWEEP_FAIL_PLAN");
+    cmd
+}
+
 fn sweep(extra: &[&str]) -> Output {
-    Command::new(BIN)
-        .args([
-            "sweep",
-            TM_MODEL,
-            "--suites",
-            "--baseline",
-            BASE_MODEL,
-            "--events",
-            "3",
-            "--config",
-            "x86",
-        ])
-        .args(extra)
-        .env_remove("TM_SWEEP_FAIL_PLAN")
-        .output()
-        .expect("spawn tm-cat")
+    sweep_command(extra).output().expect("spawn tm-cat")
 }
 
 fn stdout(out: &Output) -> String {
@@ -79,67 +84,53 @@ fn suites_section(out: &Output) -> String {
     kept
 }
 
-fn lease_files(dir: &Path) -> usize {
-    std::fs::read_dir(dir)
-        .map(|entries| {
-            entries
-                .filter_map(|e| e.ok())
-                .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some("lease"))
-                .count()
-        })
-        .unwrap_or(0)
+/// The records of a checkpoint's journal (none before it exists).
+fn journal_records(checkpoint: &Path) -> Vec<Record> {
+    let path = checkpoint.join(journal::JOURNAL_FILE);
+    let loaded = journal::load(&path).expect("journal loads");
+    loaded.map(|j| j.records).unwrap_or_default()
 }
 
-/// The headline crash-tolerance story, end to end: a shard is SIGKILLed
-/// while *holding a lease mid-unit* (a stall fail-plan pins it inside a
-/// unit so the kill cannot land between units). Its lease file survives the
-/// kill, goes stale, and a supervised run over the same checkpoint reaps it
-/// — the reassignment is printed — and finishes with full coverage.
+fn banked_units(checkpoint: &Path) -> usize {
+    let records = journal_records(checkpoint);
+    records
+        .iter()
+        .filter(|r| matches!(r, Record::UnitDone { .. }))
+        .count()
+}
+
+/// The headline crash-tolerance story, end to end: a static shard is
+/// SIGKILLed mid-unit (a stall fail-plan pins it inside its second unit so
+/// the kill cannot land between units). A supervised run over the same
+/// checkpoint restarts that shard from its journal — the unit banked before
+/// the kill is reused — and the merged suites are byte-identical to a
+/// clean run.
 #[test]
-fn sigkilled_shard_leases_are_reaped_and_survivors_finish() {
+fn sigkilled_static_shard_restarts_from_its_checkpoint() {
     let clean = sweep(&[]);
     assert_eq!(clean.status.code(), Some(0));
     let clean_suites = suites_section(&clean);
 
     let dir = Scratch::new("sigkill");
     let ckpt = dir.path();
-    let leases = ckpt.join("leases");
-    std::fs::create_dir_all(&leases).expect("lease dir");
     let shard0 = ckpt.join("shard-0");
 
     // Launch shard 0 the way the supervisor would, but with a stall plan:
-    // after one completed unit it claims the next and stops making
-    // progress, holding the lease.
-    let mut child = Command::new(BIN)
-        .args([
-            "sweep",
-            TM_MODEL,
-            "--suites",
-            "--baseline",
-            BASE_MODEL,
-            "--events",
-            "3",
-            "--config",
-            "x86",
-        ])
-        .arg("--checkpoint")
-        .arg(&shard0)
-        .args(["--resume", "--shard", "0/2", "--sched", "on"])
-        .arg("--lease-dir")
-        .arg(&leases)
-        .args(["--fail-plan", "stall:1"])
-        .env_remove("TM_SWEEP_FAIL_PLAN")
+    // after one completed unit it stops making progress inside the next.
+    let shard0_arg = shard0.to_str().expect("utf8 temp path");
+    let mut child = sweep_command(&["--checkpoint", shard0_arg, "--resume", "--shard", "0/2"])
+        .args(["--fail-plan", "stall:2"])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn shard 0");
 
-    // Wait until it demonstrably holds a lease, then SIGKILL it.
+    // Wait until its journal holds a completed unit, then SIGKILL it.
     let deadline = Instant::now() + Duration::from_secs(60);
-    while lease_files(&leases) == 0 {
+    while banked_units(&shard0) == 0 {
         assert!(
             Instant::now() < deadline,
-            "shard 0 never claimed a lease; did it crash on startup?"
+            "shard 0 never banked a unit; did it crash on startup?"
         );
         assert!(
             child.try_wait().expect("try_wait").is_none(),
@@ -149,22 +140,13 @@ fn sigkilled_shard_leases_are_reaped_and_survivors_finish() {
     }
     child.kill().expect("SIGKILL shard 0");
     let _ = child.wait();
-    assert!(
-        lease_files(&leases) > 0,
-        "the killed shard's lease must survive the kill"
-    );
+    let banked = banked_units(&shard0);
 
-    // Let the orphaned lease age past the staleness bound, then supervise
-    // over the same checkpoint. The supervisor reaps the lease, a live
-    // shard steals the unit, and the sweep completes.
-    std::thread::sleep(Duration::from_millis(700));
     let out = sweep(&[
         "--checkpoint",
         ckpt.to_str().expect("utf8 temp path"),
         "--supervise",
         "2",
-        "--lease-stale-ms",
-        "500",
     ]);
     assert_eq!(
         out.status.code(),
@@ -172,20 +154,25 @@ fn sigkilled_shard_leases_are_reaped_and_survivors_finish() {
         "stderr:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("sweep: reassigned"),
-        "the supervisor must report the reaped lease, stderr:\n{err}"
-    );
     assert_eq!(
         suites_section(&out),
         clean_suites,
-        "suites after a kill-and-steal must be byte-identical to a clean run"
+        "suites after a kill and restart must be byte-identical to a clean run"
     );
+    assert!(
+        banked_units(&shard0) > banked,
+        "the restarted shard must continue its own journal"
+    );
+    let claims = ["shard-0", "shard-1"]
+        .into_iter()
+        .flat_map(|shard| journal_records(&ckpt.join(shard)))
+        .filter(|r| matches!(r, Record::Claim { .. }))
+        .count();
+    assert_eq!(claims, 0, "supervised journals must hold no claim records");
 }
 
-/// `--sched off` under supervision restores the static `id % M` sharding:
-/// no lease directory appears, and the result still matches a clean run.
+/// `--sched off` under supervision runs whole units in FIFO order inside
+/// each static shard, and the result still matches a clean run.
 #[test]
 fn sched_off_supervision_stays_static_and_correct() {
     let clean = sweep(&[]);
@@ -207,21 +194,13 @@ fn sched_off_supervision_stays_static_and_correct() {
         "stderr:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(
-        !ckpt.join("leases").exists(),
-        "sched off must not create a lease directory"
-    );
     assert_eq!(suites_section(&out), clean_suites);
 }
 
 #[test]
 fn scheduling_flag_misuse_exits_two() {
-    // Lease claiming needs a shard identity.
     let dir = Scratch::new("usage");
     let ckpt = dir.path().to_str().expect("utf8 temp path");
-    let leases = format!("{ckpt}/leases");
-    let out = sweep(&["--checkpoint", ckpt, "--lease-dir", &leases]);
-    assert_eq!(out.status.code(), Some(2));
 
     // Scheduling knobs hang off the checkpointed runner.
     let out = sweep(&["--max-unit-weight", "100"]);

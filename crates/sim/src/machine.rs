@@ -16,7 +16,8 @@
 //!   in coherence order, under scheduler control.
 //!
 //! The HTM layer buffers transactional writes, tracks read/write sets,
-//! aborts on conflict with any access that becomes visible to the thread
+//! aborts when another thread's write to a location in them enters
+//! coherence order, or when it writes a location it read a stale value of
 //! (strong isolation), publishes the write set atomically to every thread
 //! at commit (multicopy-atomic commit), and acts as a full barrier at both
 //! boundaries.
@@ -80,6 +81,9 @@ struct TxnState {
     committed: bool,
     had_txn: bool,
     read_set: HashSet<String>,
+    /// Locations read while a later write to them was in the history but
+    /// not yet visible here (Power): writing one too closes an `fr;co` cycle.
+    stale_reads: HashSet<String>,
     write_set: BTreeMap<String, u64>,
     saved_regs: HashMap<Reg, u64>,
 }
@@ -471,18 +475,19 @@ impl Machine {
     /// Appends a write to the coherence history. `global` publishes it to
     /// every thread immediately (x86 flush, ARMv8 store, transaction commit);
     /// otherwise it is visible to the writer only and must propagate.
+    /// Other threads' transactions on `loc` abort now, not at propagation:
+    /// once in coherence order the write cannot be serialised around them.
     fn commit_write(&mut self, writer: usize, loc: &str, value: u64, global: bool) {
         let visible_to: HashSet<usize> = if global || !self.arch.non_mca() {
             (0..self.thread_count).collect()
         } else {
             [writer].into_iter().collect()
         };
-        let visible_now: Vec<usize> = visible_to.iter().copied().collect();
         self.history
             .entry(loc.to_string())
             .or_default()
             .push(WriteRecord { value, visible_to });
-        for t in visible_now {
+        for t in 0..self.thread_count {
             if t != writer {
                 self.notify_conflict(t, loc);
             }
@@ -530,7 +535,15 @@ impl Machine {
             Instr::Load { reg, loc, .. } => {
                 let value = self.load_value(t, &loc);
                 if self.threads[t].txn.active {
-                    self.threads[t].txn.read_set.insert(loc);
+                    let stale = !self.threads[t].txn.write_set.contains_key(&loc)
+                        && self.history[&loc]
+                            .last()
+                            .is_some_and(|w| !w.visible_to.contains(&t));
+                    let txn = &mut self.threads[t].txn;
+                    if stale {
+                        txn.stale_reads.insert(loc.clone());
+                    }
+                    txn.read_set.insert(loc);
                 }
                 self.threads[t].regs.insert(reg, value);
             }
@@ -577,6 +590,7 @@ impl Machine {
                 txn.aborted = false;
                 txn.had_txn = true;
                 txn.read_set.clear();
+                txn.stale_reads.clear();
                 txn.write_set.clear();
                 txn.saved_regs = saved.into_iter().collect();
             }
@@ -589,7 +603,11 @@ impl Machine {
                     self.flush_one(t);
                 }
                 self.propagate_visible_writes(t);
-                let aborted = self.threads[t].txn.aborted;
+                let txn = &mut self.threads[t].txn;
+                if txn.write_set.keys().any(|l| txn.stale_reads.contains(l)) {
+                    txn.aborted = true;
+                }
+                let aborted = txn.aborted;
                 if aborted {
                     // Roll back registers; the fail handler zeroes ok.
                     let saved = self.threads[t].txn.saved_regs.clone();
@@ -611,6 +629,7 @@ impl Machine {
                 let txn = &mut self.threads[t].txn;
                 txn.active = false;
                 txn.read_set.clear();
+                txn.stale_reads.clear();
                 txn.write_set.clear();
             }
             Instr::TxAbort => {
@@ -807,6 +826,23 @@ mod tests {
         let test = from_execution(&tm_exec::catalog::fig2(), "fig2");
         for arch in [SimArch::X86, SimArch::Armv8, SimArch::Power] {
             assert!(!observes(arch, &test, 600));
+        }
+    }
+
+    #[test]
+    fn unpropagated_writes_still_abort_conflicting_transactions() {
+        // Fig. 3b: txn{R x=0; W x=2} || W x=1 with final x=2. On Power the
+        // external write can enter coherence order, before or during the
+        // transaction, without having propagated to the transaction's
+        // thread; the transaction must abort anyway, or the fr;co cycle
+        // through it becomes observable.
+        let test = from_execution(&tm_exec::catalog::fig3('b'), "fig3b");
+        for arch in [SimArch::X86, SimArch::Armv8, SimArch::Power] {
+            let report = crate::runner::run_test(arch, &test, 2000, 7);
+            assert_eq!(
+                report.matching_runs, 0,
+                "{arch:?} let a write split a transaction's read and write"
+            );
         }
     }
 

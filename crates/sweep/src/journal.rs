@@ -20,7 +20,9 @@
 //! rather than guessing. Version 3 added the scheduler records ([`Split`]
 //! and [`Claim`](Record::Claim)); version-2 journals are a strict record
 //! subset and still load (and may legitimately grow v3 records when an old
-//! checkpoint is resumed by a newer binary).
+//! checkpoint is resumed by a newer binary). `Claim` records come only from
+//! journals written by the lease scheduler of earlier releases: they still
+//! decode, replay ignores them, and nothing writes them any more.
 //!
 //! [`Split`]: Record::Split
 
@@ -35,8 +37,8 @@ const MAGIC: &[u8; 8] = b"TMSWEEP\x01";
 // Version 2 added the orbit-weighted counters to `UnitDone` (symmetry-reduced
 // sweeps); version-1 journals are rejected rather than reinterpreted.
 // Version 3 added `Split` (work-unit refinement) and `Claim` (cross-shard
-// lease provenance). Version-2 journals carry a strict subset of the record
-// kinds, so they replay unchanged.
+// lease provenance, no longer written). Version-2 journals carry a strict
+// subset of the record kinds, so they replay unchanged.
 const VERSION: u32 = 3;
 const OLDEST_READABLE_VERSION: u32 = 2;
 const HEADER_LEN: u64 = 12;
@@ -113,10 +115,8 @@ pub enum Record {
         reason: String,
     },
     /// A work unit was refined into child subtrees (`WorkUnit::split`).
-    /// On replay the parent is replaced by its children in the frontier —
-    /// unless a `UnitDone` for the parent also exists, in which case the
-    /// whole-unit completion wins and the split is ignored. The child ids
-    /// are recorded so replay can verify its deterministic re-derivation of
+    /// On replay the parent is replaced by its children in the frontier.
+    /// The child ids are recorded so replay can verify its deterministic re-derivation of
     /// the children against what the splitting run actually scheduled.
     Split {
         /// Stable id of the unit that was split.
@@ -124,9 +124,10 @@ pub enum Record {
         /// Stable ids of the children, in the deterministic split order.
         child_ids: Vec<u64>,
     },
-    /// Provenance of a cross-shard lease claim: this journal's shard took
-    /// the unit from the shared frontier (rather than owning it statically).
-    /// Purely informational on replay — completion is still `UnitDone`.
+    /// Provenance of a cross-shard lease claim, as written by the lease
+    /// scheduler of earlier releases: this journal's shard took the unit
+    /// from a shared frontier. Still decoded so those journals load; replay
+    /// ignores it (completion is `UnitDone`) and nothing writes it now.
     Claim {
         /// Stable id of the claimed unit.
         unit_id: u64,

@@ -20,10 +20,11 @@
 //! * units shard deterministically by id (`id % m == i`), and a
 //!   [`supervisor`](crate::supervisor) can keep a fleet of shard processes
 //!   alive, restarting crashed ones against their own checkpoints;
-//! * with a shared [`lease`](crate::lease) directory, shards instead
-//!   *claim* units from the whole frontier through atomic lease files —
-//!   cross-shard work stealing: a dead shard's stale leases are reaped and
-//!   its units finished by the survivors.
+//!   inside a shard, heaviest-first dispatch and unit splitting balance
+//!   the worker threads;
+//! * merging shard journals checks exactly-once completion: a unit
+//!   completed in two journals fails the merge instead of being counted
+//!   once.
 //!
 //! Fault injection ([`FailPlan`]) is a first-class citizen: the crash/resume
 //! guarantees above are only worth having if they are exercised, so the
@@ -36,13 +37,11 @@
 mod codec;
 mod fnv;
 pub mod journal;
-pub mod lease;
 pub mod report;
 mod runner;
 pub mod supervisor;
 
 pub use codec::{decode_execution, encode_execution, CodecError};
-pub use lease::{reap_stale, LeaseManager, LEASE_DIR};
 pub use report::{report_json, write_report, Heartbeat, HEARTBEAT_FILE, REPORT_SCHEMA};
 pub use runner::{
     merge_sharded, run_sweep, FailKind, FailPlan, QuarantinedUnit, SweepError, SweepJob, SweepMode,

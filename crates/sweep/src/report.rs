@@ -297,34 +297,16 @@ impl Heartbeat {
     /// unparsable ones contribute nothing; elapsed is the max). `None`
     /// when no directory has a heartbeat yet.
     ///
-    /// For statically sharded sweeps, where each shard reports its own
-    /// slice, so the totals sum. Claim-based (lease) shards all report the
-    /// shared frontier — aggregate those with
-    /// [`aggregate_shared`](Heartbeat::aggregate_shared) instead.
+    /// Shards own disjoint static slices of the space, so `total` sums
+    /// too.
     pub fn aggregate(dirs: &[PathBuf]) -> Option<Heartbeat> {
-        Self::aggregate_with(dirs, false)
-    }
-
-    /// Like [`aggregate`](Heartbeat::aggregate), but for claim-based
-    /// shards: every shard's `total` is the whole shared frontier, so the
-    /// aggregate takes the max rather than the sum (everything else still
-    /// sums — shards only count their own completions).
-    pub fn aggregate_shared(dirs: &[PathBuf]) -> Option<Heartbeat> {
-        Self::aggregate_with(dirs, true)
-    }
-
-    fn aggregate_with(dirs: &[PathBuf], shared_total: bool) -> Option<Heartbeat> {
         let mut sum = Heartbeat::default();
         let mut seen = false;
         for dir in dirs {
             if let Some(hb) = Heartbeat::read(dir) {
                 seen = true;
                 sum.done += hb.done;
-                sum.total = if shared_total {
-                    sum.total.max(hb.total)
-                } else {
-                    sum.total + hb.total
-                };
+                sum.total += hb.total;
                 sum.fresh += hb.fresh;
                 sum.visited += hb.visited;
                 sum.weighted += hb.weighted;
@@ -434,10 +416,6 @@ mod tests {
         assert_eq!(sum.splits, 1);
         assert_eq!(sum.steals, 2);
         assert_eq!(sum.elapsed_seconds, 2.0);
-        // Claim-based shards share one frontier: total is a max, not a sum.
-        let shared = Heartbeat::aggregate_shared(dirs.as_ref()).expect("two heartbeats");
-        assert_eq!(shared.done, 8);
-        assert_eq!(shared.total, 10);
         let line = sum.progress_line(Some(4.0));
         assert!(
             line.starts_with("sweep: 8/20 units (40%) | 175 execs/s | ETA 3s"),

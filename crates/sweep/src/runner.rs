@@ -14,7 +14,7 @@
 //!
 //! Units are wildly skewed: one odometer subtree can hold orders of
 //! magnitude more executions than another, and at |E|=8 the tail unit *is*
-//! the makespan. Three mechanisms (on by default, `sched: false` restores
+//! the makespan. Two mechanisms (on by default, `sched: false` restores
 //! static dispatch) attack that:
 //!
 //! * **Weight-ordered (LPT) dispatch** — every unit gets an upper-bound
@@ -27,25 +27,25 @@
 //!   between-children hands the unfinished children back to the frontier.
 //!   The same mechanism preserves work at budget expiry — finished
 //!   children are journalled instead of discarding the whole unit.
-//! * **Cross-shard work stealing** — with a shared `lease_dir`, shards
-//!   stop owning static `id % M` slices: every shard sees the whole
-//!   frontier and claims units through atomic lease files (see
-//!   [`crate::lease`]). A shard that dies holding a lease goes stale and
-//!   its units are reclaimed by the survivors; duplicated completions are
-//!   reconciled (and validated identical) at merge time.
+//!
+//! Sharding is static: `--shard I/M` runs the units with `id % M == I`, and
+//! the [`supervisor`](crate::supervisor) keeps one such shard per child
+//! process alive, restarting a crashed child against its own checkpoint.
+//! Inside a shard the two mechanisms above balance the load; across shards
+//! nothing is shared but the merge, where [`merge_sharded`] checks that
+//! every unit was completed exactly once.
 //!
 //! Replay folds [`Record::Split`] by replacing the parent with its
-//! children in the frontier — unless a whole-parent `UnitDone` exists, in
-//! which case the completion wins. Either way the leaf results sum to
-//! exactly what the unsplit unit would have produced, so suites stay
-//! bit-identical however the work was diced.
+//! children in the frontier. The leaf results sum to exactly what the
+//! unsplit unit would have produced, so suites stay bit-identical however
+//! the work was diced.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use tm_exec::ir::Delta;
@@ -61,7 +61,6 @@ use tm_synth::{
 use crate::codec::{decode_execution, encode_execution};
 use crate::fnv::Fnv1a;
 use crate::journal::{self, JournalWriter, Record, JOURNAL_FILE};
-use crate::lease::LeaseManager;
 use crate::report::{Heartbeat, ETA_WINDOW_SECS};
 
 /// The exit code used by injected-crash fault plans, distinct from every
@@ -250,15 +249,6 @@ pub struct SweepOptions {
     /// Pre-split any unit whose weight upper bound exceeds this; `None`
     /// derives `total_weight / (4 × threads)`. Ignored with `sched: false`.
     pub max_unit_weight: Option<u64>,
-    /// Shared lease directory for cross-shard work stealing. When set,
-    /// this shard ignores its static `id % M` slice and instead claims
-    /// units from the whole frontier through atomic lease files (see
-    /// [`crate::lease`]). `shard` is still required (it names the
-    /// checkpoint and stamps the claims).
-    pub lease_dir: Option<PathBuf>,
-    /// Monotone launch counter stamped into lease claims (the supervisor
-    /// increments it per restart) — provenance only.
-    pub launch: u32,
 }
 
 impl SweepOptions {
@@ -280,8 +270,6 @@ impl SweepOptions {
             progress: false,
             sched: true,
             max_unit_weight: None,
-            lease_dir: None,
-            launch: 0,
         }
     }
 }
@@ -511,26 +499,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// This shard's live claim on one leased unit. The `beat` counter is
-/// ticked by the enumeration's stop hook (see [`run_attempt`]); the
-/// monitor refreshes the lease file only when the beat has advanced, so a
-/// wedged worker lets its lease go stale. `left` counts the unfinished
-/// jobs still running under the claim — the unit itself, plus one per
-/// child handed back to the frontier by a split; when it reaches zero the
-/// lease completes (renames to a done marker).
-struct LeaseHold {
-    unit_id: u64,
-    beat: AtomicU64,
-    left: AtomicUsize,
-}
-
-/// One dispatchable piece of work: a unit (root or split-off child), its
-/// weight, and — in lease mode, once claimed — the lease hold it runs
-/// under.
+/// One dispatchable piece of work: a unit (root or split-off child) and
+/// its weight.
 struct Task {
     weight: u64,
     unit: UnitRef,
-    hold: Option<Arc<LeaseHold>>,
 }
 
 /// What [`Scheduler::next`] hands a worker.
@@ -541,12 +514,6 @@ enum Dispatch {
     /// The queue is empty but work is in flight — it may split and refill
     /// the queue. Nap briefly and ask again.
     Wait,
-    /// The queue is empty, nothing is in flight, but lease-blocked tasks
-    /// are parked. The caller holds a virtual in-flight token (so sibling
-    /// workers [`Dispatch::Wait`] instead of exiting) and must re-examine
-    /// the tasks, push back the still-blocked ones, and
-    /// [`Scheduler::finish`] the token.
-    Rescan(Vec<Task>),
     /// Nothing left anywhere: exit.
     Drained,
 }
@@ -557,9 +524,6 @@ enum Dispatch {
 /// all weights are zero.
 struct Scheduler {
     queue: Mutex<Vec<Task>>,
-    /// Lease-blocked tasks (another shard holds the lease): parked here so
-    /// the hot dispatch loop does not spin on them.
-    deferred: Mutex<Vec<Task>>,
     in_flight: AtomicUsize,
     /// Workers currently napping in [`Dispatch::Wait`] — a nonzero value
     /// is a standing steal request to whoever runs a splittable unit.
@@ -576,7 +540,6 @@ impl Scheduler {
         }
         Scheduler {
             queue: Mutex::new(tasks),
-            deferred: Mutex::new(Vec::new()),
             in_flight: AtomicUsize::new(0),
             idle: AtomicUsize::new(0),
             sched,
@@ -595,21 +558,16 @@ impl Scheduler {
         if self.in_flight.load(Ordering::SeqCst) > 0 {
             return Dispatch::Wait;
         }
-        let mut deferred = self.deferred.lock().unwrap();
-        if deferred.is_empty() {
-            return Dispatch::Drained;
-        }
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        Dispatch::Rescan(std::mem::take(&mut *deferred))
+        Dispatch::Drained
     }
 
-    /// Settles one [`Dispatch::Run`] task or [`Dispatch::Rescan`] token.
+    /// Settles one [`Dispatch::Run`] task.
     fn finish(&self) {
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Returns tasks to the frontier (split-off children, or rescanned
-    /// lease-blocked tasks), keeping the weight order.
+    /// Returns split-off children to the frontier, keeping the weight
+    /// order.
     fn push(&self, tasks: Vec<Task>) {
         let mut queue = self.queue.lock().unwrap();
         for task in tasks {
@@ -620,10 +578,6 @@ impl Scheduler {
                 queue.insert(0, task);
             }
         }
-    }
-
-    fn defer(&self, task: Task) {
-        self.deferred.lock().unwrap().push(task);
     }
 
     fn idle_waiters(&self) -> usize {
@@ -668,7 +622,6 @@ fn run_children(
     run_start: Instant,
     opts: &SweepOptions,
     sched: &Scheduler,
-    beat: &AtomicU64,
 ) -> SchedRun {
     let mut done: Vec<(UnitRef, Box<FreshDone>, f64)> = Vec::new();
     for (i, child) in children.iter().enumerate() {
@@ -691,7 +644,7 @@ fn run_children(
         }
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_attempt(job, child, run_start, opts, false, beat)
+            run_attempt(job, child, run_start, opts, false)
         }));
         match outcome {
             Ok(Attempt::Done(fresh)) => {
@@ -794,7 +747,7 @@ fn fold_records(records: Vec<Record>) -> Replayed {
             } => {
                 replayed.splits.insert(parent_id, child_ids);
             }
-            // Claims are provenance (which shard leased what, when); the
+            // Claims are provenance written by earlier releases; the
             // completions themselves carry the results.
             Record::Claim { .. } => {}
             Record::UnitDone {
@@ -837,10 +790,7 @@ fn fold_records(records: Vec<Record>) -> Replayed {
 
 /// Expands `roots` against the journalled `splits` into the frontier of
 /// *leaves*: the units whose completions the final accounting expects.
-/// A whole-unit completion always wins over a recorded split of the same
-/// unit (the journal can hold both when a slow shard finished a unit that
-/// was split and stolen elsewhere — the whole result already covers every
-/// child). Order is deterministic: roots in their given order, children in
+/// Order is deterministic: roots in their given order, children in
 /// derivation order, depth first.
 ///
 /// Splits are re-derived from the unit definition and validated against the
@@ -850,21 +800,16 @@ fn expand_leaves(
     job: &SweepJob<'_>,
     roots: &[UnitRef],
     splits: &HashMap<u64, Vec<u64>>,
-    completed: &HashMap<u64, UnitResult>,
 ) -> Result<Vec<UnitRef>, SweepError> {
     fn walk(
         job: &SweepJob<'_>,
         unit: UnitRef,
         splits: &HashMap<u64, Vec<u64>>,
-        completed: &HashMap<u64, UnitResult>,
         out: &mut Vec<UnitRef>,
     ) -> Result<(), SweepError> {
-        let recorded = match splits.get(&unit.id) {
-            Some(children) if !completed.contains_key(&unit.id) => children,
-            _ => {
-                out.push(unit);
-                return Ok(());
-            }
+        let Some(recorded) = splits.get(&unit.id) else {
+            out.push(unit);
+            return Ok(());
         };
         let children = split_unit(job.config, &unit.unit, unit.n, job.symmetry);
         let derived: Vec<u64> = children
@@ -889,7 +834,6 @@ fn expand_leaves(
                     unit: child,
                 },
                 splits,
-                completed,
                 out,
             )?;
         }
@@ -898,7 +842,7 @@ fn expand_leaves(
 
     let mut out = Vec::with_capacity(roots.len());
     for root in roots {
-        walk(job, root.clone(), splits, completed, &mut out)?;
+        walk(job, root.clone(), splits, &mut out)?;
     }
     Ok(out)
 }
@@ -1025,7 +969,6 @@ fn run_attempt(
     run_start: Instant,
     opts: &SweepOptions,
     stall: bool,
-    beat: &AtomicU64,
 ) -> Attempt {
     let attempt_start = Instant::now();
     let budget_hit = || opts.budget.is_some_and(|b| run_start.elapsed() >= b);
@@ -1033,20 +976,12 @@ fn run_attempt(
         opts.unit_deadline
             .is_some_and(|d| attempt_start.elapsed() >= d)
     };
-    // The beat ticks prove forward progress to the lease monitor: only the
-    // enumeration's stop hook advances it, so a genuinely wedged unit lets
-    // its lease go stale and be stolen.
-    let should_stop = || {
-        beat.fetch_add(1, Ordering::Relaxed);
-        budget_hit() || deadline_hit()
-    };
+    let should_stop = || budget_hit() || deadline_hit();
 
     if stall {
         // An injected stall: the unit never finishes. Poll the stop
-        // conditions directly — deliberately NOT ticking the beat, so a
-        // stalled unit's lease goes stale and another shard can steal it —
-        // and cap the sleep so a stall without a deadline or budget cannot
-        // hang a test forever.
+        // conditions, and cap the sleep so a stall without a deadline or
+        // budget cannot hang a test forever.
         let cap = Duration::from_secs(30);
         while !(budget_hit() || deadline_hit()) && attempt_start.elapsed() < cap {
             std::thread::sleep(Duration::from_millis(2));
@@ -1268,22 +1203,12 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
         }
     }
 
-    let lease_mode = opts.lease_dir.is_some();
-    if lease_mode && opts.shard.is_none() {
-        return Err(SweepError::Config(
-            "a shared lease directory requires a shard spec (claims are stamped with the \
-             shard index)"
-                .to_string(),
-        ));
-    }
-
     let sweep_start = Instant::now();
     let units = all_units(job)?;
     // The pre-split threshold derives from the WHOLE job's weight and the
     // configured thread count — never from the shard slice or the pending
-    // count — so a clean run, every static shard and every lease shard
-    // split the same units the same way and their journals and totals stay
-    // interchangeable.
+    // count — so a clean run and every shard split the same units the same
+    // way and their journals and totals stay interchangeable.
     let full_weight: u64 = if opts.sched {
         units
             .iter()
@@ -1292,19 +1217,17 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
     } else {
         0
     };
-    // Static sharding slices the space by id; a lease shard sees the whole
-    // frontier and lets the claims decide who runs what.
     let roots: Vec<UnitRef> = match opts.shard {
-        Some((i, m)) if !lease_mode => units
+        Some((i, m)) => units
             .into_iter()
             .filter(|u| u.id % u64::from(m) == u64::from(i))
             .collect(),
-        _ => units,
+        None => units,
     };
 
     let (mut writer, replayed) = open_journal(job, opts)?;
     let mut splits = replayed.splits;
-    let leaves = expand_leaves(job, &roots, &splits, &replayed.completed)?;
+    let leaves = expand_leaves(job, &roots, &splits)?;
     // Dynamic leaves already completed per the journal — the progress
     // display's notion of "done so far".
     let dynamic_done = leaves
@@ -1379,11 +1302,7 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
             } else {
                 0
             };
-            Task {
-                weight,
-                unit: u,
-                hold: None,
-            }
+            Task { weight, unit: u }
         })
         .collect();
 
@@ -1397,19 +1316,6 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
     let prune_total: Mutex<ReducedCount> = Mutex::new(ReducedCount::default());
     let checker_total: Mutex<Option<CheckerTelemetry>> = Mutex::new(None);
     let splits_final: Mutex<HashMap<u64, Vec<u64>>> = Mutex::new(splits);
-    // Accounting-frontier leaves another shard completed first (discovered
-    // through their done markers): out of this shard's scope.
-    let foreign: Mutex<HashSet<u64>> = Mutex::new(HashSet::new());
-    let lease = match &opts.lease_dir {
-        Some(dir) => Some(LeaseManager::new(
-            dir,
-            opts.shard.map(|(i, _)| i).unwrap_or(0),
-            opts.launch,
-        )?),
-        None => None,
-    };
-    let lease = lease.as_ref();
-    let held: Mutex<HashMap<u64, Arc<LeaseHold>>> = Mutex::new(HashMap::new());
     let sched = Scheduler::new(tasks, opts.sched);
     let progress = ProgressState {
         total: AtomicUsize::new(total_leaves),
@@ -1497,30 +1403,19 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
         results.lock().unwrap().insert(unit.id, result);
         Ok(())
     };
-    // Settles one finished (completed or quarantined) job slot under a
-    // lease hold; the last slot completes the lease (done marker).
-    let settle_hold = |hold: &Option<Arc<LeaseHold>>| {
-        if let (Some(l), Some(h)) = (lease, hold.as_ref()) {
-            if h.left.fetch_sub(1, Ordering::SeqCst) == 1 {
-                l.complete(h.unit_id);
-                held.lock().unwrap().remove(&h.unit_id);
-            }
-        }
-    };
 
     std::thread::scope(|scope| {
         let monitor = scope.spawn(|| {
-            monitor_loop(&progress, run_start, opts, &monitor_stop, lease, &held);
+            monitor_loop(&progress, run_start, opts, &monitor_stop);
         });
         let workers: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let dummy_beat = AtomicU64::new(0);
                     'units: loop {
                         if opts.budget.is_some_and(|b| run_start.elapsed() >= b) {
                             break;
                         }
-                        let mut task = match sched.next() {
+                        let task = match sched.next() {
                             Dispatch::Run(task) => task,
                             Dispatch::Wait => {
                                 // A standing steal request: whoever runs a
@@ -1531,81 +1426,8 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                                 sched.idle.fetch_sub(1, Ordering::SeqCst);
                                 continue;
                             }
-                            Dispatch::Rescan(parked) => {
-                                let mut blocked = Vec::new();
-                                for t in parked {
-                                    match lease {
-                                        Some(l) if l.is_done(t.unit.id) => {
-                                            // Another shard finished it:
-                                            // out of our scope.
-                                            if foreign.lock().unwrap().insert(t.unit.id) {
-                                                progress.total.fetch_sub(1, Ordering::Relaxed);
-                                            }
-                                        }
-                                        _ => blocked.push(t),
-                                    }
-                                }
-                                if !blocked.is_empty() {
-                                    // The holders are alive (or not yet
-                                    // reaped): back off before reclaiming.
-                                    std::thread::sleep(Duration::from_millis(50));
-                                    sched.push(blocked);
-                                }
-                                sched.finish();
-                                continue;
-                            }
                             Dispatch::Drained => break,
                         };
-                        if let Some(l) = lease {
-                            // Claim before running; split-off children
-                            // already run under their parent's claim.
-                            if task.hold.is_none() {
-                                match l.try_claim(task.unit.id) {
-                                    Ok(true) => {
-                                        let record = Record::Claim {
-                                            unit_id: task.unit.id,
-                                            shard_index: opts.shard.map(|(i, _)| i).unwrap_or(0),
-                                            launch: opts.launch,
-                                        };
-                                        if let Err(e) = journal.lock().unwrap().append(&record) {
-                                            *io_error.lock().unwrap() = Some(e);
-                                            sched.finish();
-                                            break 'units;
-                                        }
-                                        obs.counter("sweep.lease.claims").incr();
-                                        let hold = Arc::new(LeaseHold {
-                                            unit_id: task.unit.id,
-                                            beat: AtomicU64::new(0),
-                                            left: AtomicUsize::new(1),
-                                        });
-                                        held.lock()
-                                            .unwrap()
-                                            .insert(task.unit.id, Arc::clone(&hold));
-                                        task.hold = Some(hold);
-                                    }
-                                    Ok(false) => {
-                                        if l.is_done(task.unit.id) {
-                                            if foreign.lock().unwrap().insert(task.unit.id) {
-                                                progress.total.fetch_sub(1, Ordering::Relaxed);
-                                            }
-                                        } else {
-                                            obs.counter("sweep.lease.conflicts").incr();
-                                            sched.defer(task);
-                                        }
-                                        sched.finish();
-                                        continue;
-                                    }
-                                    Err(e) => {
-                                        *io_error.lock().unwrap() = Some(e);
-                                        sched.finish();
-                                        break 'units;
-                                    }
-                                }
-                            }
-                        }
-                        let task = task;
-                        let beat: &AtomicU64 =
-                            task.hold.as_ref().map(|h| &h.beat).unwrap_or(&dummy_beat);
                         if let Some(fail) = &fail_state {
                             fail.on_claim(task.unit.id);
                             if fail.is_victim(task.unit.id) && fail.plan.kind == FailKind::Exit {
@@ -1666,13 +1488,13 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                                     unit: c,
                                 })
                                 .collect();
-                                run_children(job, &children, run_start, opts, &sched, beat)
+                                run_children(job, &children, run_start, opts, &sched)
                             } else {
                                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                                     if injected_panic {
                                         panic!("injected panic (fail plan)");
                                     }
-                                    run_attempt(job, &task.unit, run_start, opts, stall, beat)
+                                    run_attempt(job, &task.unit, run_start, opts, stall)
                                 }));
                                 match outcome {
                                     Ok(Attempt::Done(fresh)) => SchedRun::Whole(fresh),
@@ -1694,14 +1516,12 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                                         sched.finish();
                                         break 'units;
                                     }
-                                    settle_hold(&task.hold);
                                     sched.finish();
                                     break;
                                 }
                                 SchedRun::Interrupted => {
                                     // Budget expiry with nothing banked: the
-                                    // unit stays pending (its lease, if any,
-                                    // is released after the scope).
+                                    // unit stays pending.
                                     sched.finish();
                                     break 'units;
                                 }
@@ -1726,13 +1546,6 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                                     progress
                                         .total
                                         .fetch_add(done.len() + rest.len() - 1, Ordering::Relaxed);
-                                    if let Some(h) = &task.hold {
-                                        // The rest children each take a slot
-                                        // under the claim, added before the
-                                        // parent slot settles so the count
-                                        // cannot dip to zero early.
-                                        h.left.fetch_add(rest.len(), Ordering::SeqCst);
-                                    }
                                     let mut io_failed = false;
                                     for (child, fresh, seconds) in done {
                                         if let Err(e) = bank(&child, *fresh, seconds, attempt_no) {
@@ -1749,7 +1562,6 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                                         // Work preserved: the finished prefix
                                         // is journalled; the rest resumes from
                                         // the Split record.
-                                        settle_hold(&task.hold);
                                         sched.finish();
                                         break 'units;
                                     }
@@ -1760,15 +1572,10 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                                         .into_iter()
                                         .map(|u| {
                                             let weight = unit_weight(job.config, &u.unit, u.n);
-                                            Task {
-                                                weight,
-                                                unit: u,
-                                                hold: task.hold.clone(),
-                                            }
+                                            Task { weight, unit: u }
                                         })
                                         .collect();
                                     sched.push(shared);
-                                    settle_hold(&task.hold);
                                     sched.finish();
                                     break;
                                 }
@@ -1806,10 +1613,6 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                                     reason: failure_reason,
                                     label: task.unit.unit.label(),
                                 });
-                                // A quarantine is a handled unit: the lease
-                                // completes (done marker) so other shards do
-                                // not re-run a poisoned unit.
-                                settle_hold(&task.hold);
                                 sched.finish();
                                 break;
                             }
@@ -1838,15 +1641,6 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
         let _ = monitor.join();
     });
 
-    // Whatever is still held was not completed (budget expiry, IO error):
-    // release the leases so other shards — or the next launch — can claim
-    // the units.
-    if let Some(l) = lease {
-        for hold in held.lock().unwrap().values() {
-            l.release(hold.unit_id);
-        }
-    }
-
     let run_seconds = run_start.elapsed().as_secs_f64();
     journal.lock().unwrap().sync()?;
     if let Some(e) = io_error.into_inner().unwrap() {
@@ -1855,7 +1649,6 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
 
     let raw_results = results.into_inner().unwrap();
     let splits = splits_final.into_inner().unwrap();
-    let foreign = foreign.into_inner().unwrap();
     let mut quarantined = quarantined.into_inner().unwrap();
     // Quarantines replayed from the journal still stand unless this run
     // completed the unit (they were in the frontier, so a fresh quarantine
@@ -1874,17 +1667,10 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
     }
 
     // The accounting scope is the deterministic frontier computed at
-    // setup; a lease shard additionally drops the leaves other shards
-    // completed first (a drained lease run therefore accounts for exactly
-    // the units it ran or quarantined itself — everything else was either
-    // foreign or left pending by a budget stop).
-    let mut scope_units = scope_frontier;
-    if lease_mode {
-        scope_units.retain(|u| !foreign.contains(&u.id));
-    }
-    // Roll mid-run split results up to that frontier: a leaf counts as
+    // setup. Roll mid-run split results up to that frontier: a leaf counts as
     // completed exactly when its whole subspace is covered, however the
     // work was diced.
+    let scope_units = scope_frontier;
     let results: HashMap<u64, UnitResult> = scope_units
         .iter()
         .filter_map(|u| resolve_result(u.id, &splits, &raw_results).map(|r| (u.id, r)))
@@ -2013,9 +1799,9 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
 }
 
 /// Live progress shared between the workers and the monitor thread.
-/// `total` moves: splits grow it, foreign completions shrink it — it
-/// tracks the *dynamic* frontier, which is what a progress display should
-/// show (accounting uses the static frontier instead).
+/// `total` moves: splits grow it — it tracks the *dynamic* frontier, which
+/// is what a progress display should show (accounting uses the static
+/// frontier instead).
 struct ProgressState {
     total: AtomicUsize,
     done: AtomicUsize,
@@ -2044,24 +1830,20 @@ impl ProgressState {
 /// The monitor thread: rewrites the heartbeat file every ~500ms (always —
 /// the shard supervisor aggregates them without any flag on the children),
 /// feeds a sliding [`RateWindow`] that turns unit completions into the
-/// progress line's ETA, refreshes this shard's held leases (only while
-/// their beats advance — a wedged worker lets its lease go stale), and,
-/// with `opts.progress`, repaints a `\r`-terminated progress line on
-/// stderr every ~200ms, finishing with a newline-terminated final line.
+/// progress line's ETA, and, with `opts.progress`, repaints a
+/// `\r`-terminated progress line on stderr every ~200ms, finishing with a
+/// newline-terminated final line.
 fn monitor_loop(
     progress: &ProgressState,
     run_start: Instant,
     opts: &SweepOptions,
     stop: &AtomicBool,
-    lease: Option<&LeaseManager>,
-    held: &Mutex<HashMap<u64, Arc<LeaseHold>>>,
 ) {
     const TICK: Duration = Duration::from_millis(25);
     const PRINT_EVERY: u32 = 8; // ~200ms
     const HEARTBEAT_EVERY: u32 = 20; // ~500ms
     let mut tick = 0u32;
     let mut window = RateWindow::new(ETA_WINDOW_SECS);
-    let mut last_beats: HashMap<u64, u64> = HashMap::new();
     loop {
         if stop.load(Ordering::SeqCst) {
             break;
@@ -2070,27 +1852,6 @@ fn monitor_loop(
             let hb = progress.heartbeat(run_start.elapsed());
             window.push(hb.elapsed_seconds, hb.done as f64);
             hb.write(&opts.checkpoint);
-            if let Some(l) = lease {
-                // Refresh held leases whose beat advanced since last time;
-                // first sight counts as progress (the claim is fresh).
-                let holds: Vec<(u64, u64)> = held
-                    .lock()
-                    .unwrap()
-                    .values()
-                    .map(|h| (h.unit_id, h.beat.load(Ordering::Relaxed)))
-                    .collect();
-                last_beats.retain(|id, _| holds.iter().any(|(hid, _)| hid == id));
-                for (unit_id, beat) in holds {
-                    let advanced = match last_beats.get(&unit_id) {
-                        Some(prev) => beat > *prev,
-                        None => true,
-                    };
-                    if advanced {
-                        last_beats.insert(unit_id, beat);
-                        l.refresh(unit_id);
-                    }
-                }
-            }
         }
         if opts.progress && tick.is_multiple_of(PRINT_EVERY) {
             let line = progress
@@ -2317,22 +2078,21 @@ fn assemble(
 /// (fingerprint, events, mode); which shard a unit came from is irrelevant
 /// because units are deterministic.
 ///
-/// With work stealing in play, the same unit can legitimately appear in
-/// several journals: recorded splits must agree child-for-child, and
-/// duplicated completions must agree on every count (a stolen-and-also-
-/// finished unit ran twice — the runs being deterministic, any
-/// disagreement means a corrupted or foreign journal). Candidate *lists*
-/// may differ between a whole run and a child-wise run of the same unit
-/// (per-child signature dedup can bank extra duplicates); global assembly
-/// removes those again, so the first-seen list is kept.
+/// Exactly-once completion is checked, not assumed: shards own disjoint
+/// static slices, so a unit completed (or split) in more than one journal
+/// means the same shard directory was passed twice or a journal was
+/// copied. The merge then fails, naming every duplicated unit id, instead
+/// of crediting the unit once.
 pub fn merge_sharded(job: &SweepJob<'_>, dirs: &[PathBuf]) -> Result<SweepOutcome, SweepError> {
     let units = all_units(job)?;
     let mut results: HashMap<u64, UnitResult> = HashMap::new();
     let mut quarantines: HashMap<u64, (u32, String)> = HashMap::new();
     let mut splits: HashMap<u64, Vec<u64>> = HashMap::new();
+    let mut owner: HashMap<u64, usize> = HashMap::new();
+    let mut duplicated: BTreeSet<u64> = BTreeSet::new();
 
     let expected_fingerprint = job.fingerprint();
-    for dir in dirs {
+    for (k, dir) in dirs.iter().enumerate() {
         let path = dir.join(JOURNAL_FILE);
         let loaded = journal::load(&path)?
             .ok_or_else(|| SweepError::Config(format!("no journal at {}", path.display())))?;
@@ -2352,61 +2112,34 @@ pub fn merge_sharded(job: &SweepJob<'_>, dirs: &[PathBuf]) -> Result<SweepOutcom
                 )))
             }
         }
+        // Shards own disjoint slices, so each unit's split and completion
+        // records belong in exactly one journal.
         let replayed = fold_records(loaded.records);
-        for (id, children) in replayed.splits {
-            match splits.get(&id) {
-                Some(prev) if *prev != children => {
-                    return Err(SweepError::Config(format!(
-                        "journal {} records a different split of unit {id:#018x} than an \
-                         earlier shard; refusing to merge",
-                        path.display()
-                    )));
-                }
-                Some(_) => {}
-                None => {
-                    splits.insert(id, children);
-                }
+        for &id in replayed.splits.keys().chain(replayed.completed.keys()) {
+            if owner.insert(id, k).is_some_and(|prev| prev != k) {
+                duplicated.insert(id);
             }
         }
-        for (id, result) in replayed.completed {
-            match results.get(&id) {
-                Some(prev) => {
-                    if (
-                        prev.visited,
-                        prev.consistent,
-                        prev.drift,
-                        prev.weighted_visited,
-                        prev.weighted_consistent,
-                    ) != (
-                        result.visited,
-                        result.consistent,
-                        result.drift,
-                        result.weighted_visited,
-                        result.weighted_consistent,
-                    ) {
-                        return Err(SweepError::Config(format!(
-                            "journal {} disagrees with an earlier shard on unit \
-                             {id:#018x}'s counts; refusing to merge",
-                            path.display()
-                        )));
-                    }
-                }
-                None => {
-                    results.insert(id, result);
-                }
-            }
-        }
+        splits.extend(replayed.splits);
+        results.extend(replayed.completed);
         for (id, q) in replayed.quarantined {
             quarantines.entry(id).or_insert(q);
         }
     }
+    if !duplicated.is_empty() {
+        let ids: Vec<String> = duplicated.iter().map(|id| format!("{id:#018x}")).collect();
+        return Err(SweepError::Config(format!(
+            "{} unit(s) recorded in more than one shard journal: {}; refusing to merge",
+            ids.len(),
+            ids.join(", ")
+        )));
+    }
     quarantines.retain(|id, _| !results.contains_key(id));
 
-    // The merged scope is the dynamic frontier under every recorded split
-    // (completions win over splits, as always); results and quarantines on
-    // non-leaves — a parent that was both completed whole somewhere and
-    // split elsewhere — are dropped in favour of the leaves.
-    let leaves = expand_leaves(job, &units, &splits, &results)?;
+    // The merged scope is the dynamic frontier under every recorded split;
+    // results and quarantines on non-leaves are dropped in favour of the
+    // leaves.
+    let leaves = expand_leaves(job, &units, &splits)?;
     let leaf_ids: HashSet<u64> = leaves.iter().map(|u| u.id).collect();
     results.retain(|id, _| leaf_ids.contains(id));
     let mut quarantined: Vec<QuarantinedUnit> = quarantines

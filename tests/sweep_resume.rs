@@ -5,15 +5,20 @@
 //! produces **identical** Forbid/Allow suites (signatures, counts,
 //! transaction histograms, enumeration totals) to an uninterrupted run; a
 //! deterministically failing unit is retried, quarantined, and reported
-//! without taking the sweep down; and deterministic sharding by unit id
-//! partitions the space exactly.
+//! without taking the sweep down; deterministic sharding by unit id
+//! partitions the space exactly, and merging shard journals checks that
+//! every unit was completed exactly once; and no corruption of a journal
+//! can make loading or resuming it panic.
 
-use std::path::PathBuf;
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use tm_weak_memory::models::{MemoryModel, ScModel, X86Model};
+use tm_weak_memory::sweep::journal::{self, JournalWriter, Record, JOURNAL_FILE};
 use tm_weak_memory::sweep::{
-    merge_sharded, run_sweep, FailKind, FailPlan, SweepJob, SweepMode, SweepOptions, SweepStatus,
+    merge_sharded, run_sweep, FailKind, FailPlan, SweepError, SweepJob, SweepMode, SweepOptions,
+    SweepStatus,
 };
 use tm_weak_memory::synth::{
     canonical_signature, work_units, CanonSig, SuiteReport, Symmetry, SynthConfig,
@@ -284,6 +289,156 @@ fn sharded_runs_merge_into_the_unsharded_result() {
     assert_eq!(merged.status, SweepStatus::Complete);
     assert_eq!(merged.visited, clean.visited);
     assert_eq!(profile(&merged.suites.expect("suites mode")), clean_profile);
+}
+
+fn journal_records(checkpoint: &Path) -> Vec<Record> {
+    let path = checkpoint.join(JOURNAL_FILE);
+    journal::load(&path)
+        .expect("loads")
+        .expect("exists")
+        .records
+}
+
+fn completed_ids(records: &[Record]) -> Vec<u64> {
+    let done = records.iter().filter_map(|r| match r {
+        Record::UnitDone { unit_id, .. } => Some(*unit_id),
+        _ => None,
+    });
+    done.collect()
+}
+
+/// Exactly-once completion is a checked merge invariant, not a dedup:
+/// handing the merge one shard's journal twice (copied into a second
+/// directory) must fail and name every unit that was completed twice.
+/// Static shards, as `--supervise` runs them, write no `Claim` records.
+#[test]
+fn merging_a_duplicated_shard_journal_fails_and_names_the_units() {
+    let config = trimmed_config();
+    let (tm, base) = (ScModel::tsc(), ScModel::sc());
+    let job = suites_job(&tm, &base, &config);
+
+    let dirs = [Scratch::new("dup-0"), Scratch::new("dup-1")];
+    for (i, dir) in dirs.iter().enumerate() {
+        let mut opts = SweepOptions::new(dir.path());
+        opts.shard = Some((i as u32, 2));
+        run_sweep(&job, &opts).expect("shard run");
+        let records = journal_records(&dir.path());
+        assert!(!records.iter().any(|r| matches!(r, Record::Claim { .. })));
+    }
+    let copy = Scratch::new("dup-copy");
+    std::fs::create_dir_all(copy.path()).expect("copy dir");
+    let journal0 = dirs[0].path().join(JOURNAL_FILE);
+    std::fs::copy(journal0, copy.path().join(JOURNAL_FILE)).expect("copy journal");
+
+    let Err(err) = merge_sharded(&job, &[dirs[0].path(), dirs[1].path(), copy.path()]) else {
+        panic!("a unit completed in two journals must fail the merge");
+    };
+    assert!(matches!(err, SweepError::Config(_)), "got: {err}");
+    let named = |id: u64| err.to_string().contains(&format!("{id:#018x}"));
+    let duplicated = completed_ids(&journal_records(&dirs[0].path()));
+    assert!(!duplicated.is_empty() && duplicated.iter().all(|&id| named(id)));
+    assert!(!completed_ids(&journal_records(&dirs[1].path()))
+        .iter()
+        .any(|&id| named(id)));
+}
+
+/// Journals written by the lease scheduler of earlier releases interleave
+/// `Claim` records with the completions. Such a journal must still resume
+/// (claims are ignored) and merge to the suites of a clean run.
+#[test]
+fn journals_carrying_claim_records_still_resume_and_merge() {
+    let config = trimmed_config();
+    let (tm, base) = (ScModel::tsc(), ScModel::sc());
+    let job = suites_job(&tm, &base, &config);
+
+    let clean_dir = Scratch::new("claims-clean");
+    let clean = run_sweep(&job, &SweepOptions::new(clean_dir.path())).expect("clean run");
+    let clean_profile = profile(&clean.suites.expect("suites mode"));
+    let records = journal_records(&clean_dir.path());
+
+    // A claim before every completion, and only the first half of the
+    // completions, so the resume has work left.
+    let dir = Scratch::new("claims");
+    std::fs::create_dir_all(dir.path()).expect("checkpoint dir");
+    let mut writer = JournalWriter::create(&dir.path().join(JOURNAL_FILE), &records[0], 1)
+        .expect("create journal");
+    let mut budget = completed_ids(&records).len() / 2;
+    for record in &records[1..] {
+        if let Record::UnitDone { unit_id, .. } = record {
+            if budget == 0 {
+                continue;
+            }
+            budget -= 1;
+            let claim = Record::Claim {
+                unit_id: *unit_id,
+                shard_index: 0,
+                launch: 1,
+            };
+            writer.append(&claim).expect("append claim");
+        }
+        writer.append(record).expect("append record");
+    }
+    drop(writer);
+
+    let mut opts = SweepOptions::new(dir.path());
+    opts.resume = true;
+    let resumed = run_sweep(&job, &opts).expect("resume over claim records");
+    assert_eq!(resumed.status, SweepStatus::Complete);
+    assert!(resumed.reused_units > 0);
+    assert_eq!(profile(&resumed.suites.expect("suites")), clean_profile);
+    let merged = merge_sharded(&job, &[dir.path()]).expect("merge over claim records");
+    assert_eq!(merged.status, SweepStatus::Complete);
+    assert_eq!(profile(&merged.suites.expect("suites")), clean_profile);
+}
+
+/// Every single-bit flip of a small journal — header, framing, payload or
+/// CRC — makes `journal::load` return an error or a prefix of the original
+/// records, and `--resume` then either refuses or finishes with the clean
+/// suites. Nothing panics.
+#[test]
+fn every_single_bit_flip_loads_as_an_error_or_a_prefix() {
+    let config = trimmed_config();
+    let (tm, base) = (ScModel::tsc(), ScModel::sc());
+    let job = suites_job(&tm, &base, &config);
+
+    let clean_dir = Scratch::new("flip-clean");
+    let clean = run_sweep(&job, &SweepOptions::new(clean_dir.path())).expect("clean run");
+    let clean_profile = profile(&clean.suites.expect("suites mode"));
+    let original = std::fs::read(clean_dir.path().join(JOURNAL_FILE)).expect("read journal");
+    let records = journal_records(&clean_dir.path());
+
+    let dir = Scratch::new("flip");
+    std::fs::create_dir_all(dir.path()).expect("checkpoint dir");
+    let path = dir.path().join(JOURNAL_FILE);
+    // A resume sees only what `load` returned (the writer truncates to the
+    // valid prefix before appending), so one resume per distinct load
+    // outcome covers every flip.
+    let mut resumed: HashSet<Option<usize>> = HashSet::new();
+    for bit in 0..original.len() * 8 {
+        let mut bytes = original.clone();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        std::fs::write(&path, &bytes).expect("write flipped journal");
+        let outcome = journal::load(&path).ok().map(|loaded| {
+            let loaded = loaded.expect("the flipped journal exists");
+            let n = loaded.records.len();
+            assert_eq!(
+                loaded.records[..],
+                records[..n.min(records.len())],
+                "bit {bit}"
+            );
+            assert_eq!(loaded.truncated_tail, n < records.len(), "bit {bit}");
+            n
+        });
+        if resumed.insert(outcome) {
+            let mut opts = SweepOptions::new(dir.path());
+            opts.resume = true;
+            match run_sweep(&job, &opts) {
+                Ok(run) => assert_eq!(profile(&run.suites.expect("suites")), clean_profile),
+                Err(e) => assert!(outcome.unwrap_or(0) == 0, "bit {bit}: {e}"),
+            }
+        }
+    }
+    assert!(resumed.contains(&None) && resumed.len() > 2);
 }
 
 #[test]
