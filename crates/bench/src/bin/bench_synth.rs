@@ -11,7 +11,8 @@
 //!   copy of the original x86 consistency check, which recomputes every
 //!   derived relation (`sloc`, `fr`, `com`, `tfence`, the lifts) on each
 //!   mention, exactly as the models did before the `ExecView` migration;
-//! * **ir** — the per-execution IR pipeline: parallel pruned enumeration,
+//! * **ir** — the per-execution IR pipeline: the parallel in-place
+//!   enumeration with a per-execution callback (the edge delta is ignored),
 //!   one memoized [`ExecView`] per candidate shared by both model checks,
 //!   verdicts from the declarative axiom-IR evaluator with hash-consed
 //!   common-subexpression memoization and cheapest-axiom-first early exit;
@@ -38,8 +39,7 @@ use tm_models::{MemoryModel, Target, X86Model};
 use tm_relation::Relation;
 use tm_sweep::{run_sweep, SweepJob, SweepMode, SweepOptions, SweepStatus};
 use tm_synth::{
-    enumerate_exact, enumerate_exact_incremental, enumerate_exact_reference,
-    enumerate_reduced_incremental, labelled_orbit, synthesise_suites,
+    enumerate, enumerate_exact, enumerate_exact_reference, labelled_orbit, synthesise_suites,
     synthesise_suites_per_execution, synthesise_suites_with, CanonSig, SuiteReport, Symmetry,
     SynthConfig,
 };
@@ -180,8 +180,9 @@ fn run_baseline(cfg: &SynthConfig, max_events: usize) -> Mode {
     }
 }
 
-/// The per-execution IR sweep: parallel pruned enumeration, one memoized
-/// view per candidate, the axiom-IR evaluator with early exit.
+/// The per-execution IR sweep: the parallel in-place enumeration with a
+/// per-execution callback, one memoized view per candidate, the axiom-IR
+/// evaluator with early exit.
 fn run_ir(cfg: &SynthConfig, max_events: usize) -> Mode {
     let mut executions = 0usize;
     let checks = AtomicUsize::new(0);
@@ -220,19 +221,26 @@ fn run_incremental(cfg: &SynthConfig, max_events: usize) -> Mode {
     let consistent = AtomicUsize::new(0);
     let start = Instant::now();
     for n in 2..=max_events {
-        executions += enumerate_exact_incremental(cfg, n, || {
-            let mut checker = IncrementalChecker::new();
-            let (checks, consistent) = (&checks, &consistent);
-            move |exec: &Execution, delta: &Delta| {
-                checker.advance(exec, delta);
-                for target in [Target::X86Tm, Target::X86] {
-                    if checker.is_consistent(exec, target) {
-                        consistent.fetch_add(1, Ordering::Relaxed);
+        executions += enumerate(
+            cfg,
+            n,
+            Symmetry::Full,
+            || {
+                let mut checker = IncrementalChecker::new();
+                let (checks, consistent) = (&checks, &consistent);
+                move |exec: &Execution, delta: &Delta, _orbit: u64| {
+                    checker.advance(exec, delta);
+                    for target in [Target::X86Tm, Target::X86] {
+                        if checker.is_consistent(exec, target) {
+                            consistent.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
+                    checks.fetch_add(2, Ordering::Relaxed);
                 }
-                checks.fetch_add(2, Ordering::Relaxed);
-            }
-        });
+            },
+            || false,
+        )
+        .representatives;
     }
     Mode {
         name: "ir-incremental",
@@ -261,19 +269,26 @@ fn run_cat_loaded(cfg: &SynthConfig, max_events: usize) -> Mode {
     let consistent = AtomicUsize::new(0);
     let start = Instant::now();
     for n in 2..=max_events {
-        executions += enumerate_exact_incremental(cfg, n, || {
-            let mut checkers = [tm.incremental(), base.incremental()];
-            let (checks, consistent) = (&checks, &consistent);
-            move |exec: &Execution, delta: &Delta| {
-                for checker in &mut checkers {
-                    checker.advance(exec, delta);
-                    if checker.is_consistent(exec) {
-                        consistent.fetch_add(1, Ordering::Relaxed);
+        executions += enumerate(
+            cfg,
+            n,
+            Symmetry::Full,
+            || {
+                let mut checkers = [tm.incremental(), base.incremental()];
+                let (checks, consistent) = (&checks, &consistent);
+                move |exec: &Execution, delta: &Delta, _orbit: u64| {
+                    for checker in &mut checkers {
+                        checker.advance(exec, delta);
+                        if checker.is_consistent(exec) {
+                            consistent.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
+                    checks.fetch_add(2, Ordering::Relaxed);
                 }
-                checks.fetch_add(2, Ordering::Relaxed);
-            }
-        });
+            },
+            || false,
+        )
+        .representatives;
     }
     Mode {
         name: "cat-loaded",
@@ -286,11 +301,12 @@ fn run_cat_loaded(cfg: &SynthConfig, max_events: usize) -> Mode {
 }
 
 /// Full Table-1 suite synthesis (Forbid + Allow for x86 ± TM at exactly
-/// `max_events` events), measured once on the per-execution pipeline (fresh
-/// views, cloned weakenings for every minimality probe, globally locked
-/// deduplication) and once on the delta-driven pipeline (stateful
-/// per-worker checkers, savepoint/rollback-probed weakenings expressed as
-/// removal deltas, per-worker sinks merged after the sweep).
+/// `max_events` events), measured once on the per-execution pipeline (a
+/// per-execution callback on the same enumeration, fresh views, cloned
+/// weakenings for every minimality probe, globally locked deduplication)
+/// and once on the delta-driven pipeline (stateful per-worker checkers,
+/// savepoint/rollback-probed weakenings expressed as removal deltas,
+/// per-worker sinks merged after the sweep).
 fn run_suite(cfg: &SynthConfig, max_events: usize, incremental: bool) -> (Mode, SuiteReport) {
     let tm = X86Model::tm();
     let base = X86Model::baseline();
@@ -344,19 +360,26 @@ fn run_symmetry_pair(cfg: &SynthConfig, max_events: usize) -> (Mode, Mode) {
     let consistent = AtomicUsize::new(0);
     let start = Instant::now();
     for n in 2..=max_events {
-        executions += enumerate_exact_incremental(cfg, n, || {
-            let mut checker = IncrementalChecker::new();
-            let (checks, consistent) = (&checks, &consistent);
-            move |exec: &Execution, delta: &Delta| {
-                checker.advance(exec, delta);
-                for target in [Target::X86Tm, Target::X86] {
-                    if checker.is_consistent(exec, target) {
-                        consistent.fetch_add(1, Ordering::Relaxed);
+        executions += enumerate(
+            cfg,
+            n,
+            Symmetry::Full,
+            || {
+                let mut checker = IncrementalChecker::new();
+                let (checks, consistent) = (&checks, &consistent);
+                move |exec: &Execution, delta: &Delta, _orbit: u64| {
+                    checker.advance(exec, delta);
+                    for target in [Target::X86Tm, Target::X86] {
+                        if checker.is_consistent(exec, target) {
+                            consistent.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
+                    checks.fetch_add(2, Ordering::Relaxed);
                 }
-                checks.fetch_add(2, Ordering::Relaxed);
-            }
-        });
+            },
+            || false,
+        )
+        .representatives;
     }
     let full = Mode {
         name: "ir-incremental-3t",
@@ -375,21 +398,27 @@ fn run_symmetry_pair(cfg: &SynthConfig, max_events: usize) -> (Mode, Mode) {
     let effective = AtomicU64::new(0);
     let start = Instant::now();
     for n in 2..=max_events {
-        let tally = enumerate_reduced_incremental(cfg, n, || {
-            let mut checker = IncrementalChecker::new();
-            let (checks, weighted_consistent, effective) =
-                (&checks, &weighted_consistent, &effective);
-            move |exec: &Execution, delta: &Delta, orbit: u64| {
-                checker.advance(exec, delta);
-                for target in [Target::X86Tm, Target::X86] {
-                    if checker.is_consistent(exec, target) {
-                        weighted_consistent.fetch_add(orbit, Ordering::Relaxed);
+        let tally = enumerate(
+            cfg,
+            n,
+            Symmetry::Reduced,
+            || {
+                let mut checker = IncrementalChecker::new();
+                let (checks, weighted_consistent, effective) =
+                    (&checks, &weighted_consistent, &effective);
+                move |exec: &Execution, delta: &Delta, orbit: u64| {
+                    checker.advance(exec, delta);
+                    for target in [Target::X86Tm, Target::X86] {
+                        if checker.is_consistent(exec, target) {
+                            weighted_consistent.fetch_add(orbit, Ordering::Relaxed);
+                        }
                     }
+                    checks.fetch_add(2, Ordering::Relaxed);
+                    effective.fetch_add(labelled_orbit(exec, orbit), Ordering::Relaxed);
                 }
-                checks.fetch_add(2, Ordering::Relaxed);
-                effective.fetch_add(labelled_orbit(exec, orbit), Ordering::Relaxed);
-            }
-        });
+            },
+            || false,
+        );
         representatives += tally.representatives;
         weighted += tally.weighted;
     }

@@ -23,8 +23,8 @@
 //!                   power | armv8 | cpp
 //!   --expect TARGET compare per-execution consistency against a built-in
 //!                   model and exit non-zero on any drift
-//!   --incremental   drive the delta-threading enumeration instead of the
-//!                   per-execution pipeline (verdicts must agree)
+//!   --incremental   check with a delta-threading checker per worker
+//!                   instead of per-execution verdicts (verdicts must agree)
 //!   --symmetry on|off  `on` visits one canonical representative per
 //!                   thread/location-renaming class, reporting both
 //!                   representative and orbit-weighted totals (default off)
@@ -93,10 +93,7 @@ use tm_sweep::{
     merge_sharded, run_sweep, supervise_with, write_report, FailPlan, Heartbeat, SupervisorOptions,
     SweepJob, SweepMode, SweepOptions, SweepOutcome, SweepStatus,
 };
-use tm_synth::{
-    enumerate_exact, enumerate_exact_incremental, enumerate_reduced_incremental,
-    synthesise_suites_with, Symmetry, SynthConfig,
-};
+use tm_synth::{enumerate, synthesise_suites_with, Symmetry, SynthConfig};
 
 /// Exit code for a sweep that finished degraded (quarantined units) or ran
 /// out of budget with units still pending.
@@ -668,18 +665,27 @@ fn sweep_legacy(parsed: &SweepArgs, model: &IrModel, config: &SynthConfig) -> Ex
     let mut executions = 0usize;
     let mut weighted_executions = 0u64;
     for n in 2..=events {
-        if reduced {
-            // Symmetry-reduced: visit one canonical representative per
-            // isomorphism class, counting each with its orbit size so the
-            // totals still describe the full space.
-            let tally = enumerate_reduced_incremental(config, n, || {
-                let mut checker = model.incremental();
+        // `--symmetry` picks the enumeration mode; `--incremental` picks the
+        // checker: a delta-threading one per worker, or per-execution
+        // verdicts. Under symmetry reduction each representative counts
+        // with its orbit size, so the totals still describe the full space.
+        let tally = enumerate(
+            config,
+            n,
+            parsed.symmetry,
+            || {
+                let mut checker = incremental.then(|| model.incremental());
                 let (total, consistent, weighted_consistent, drift) =
                     (&total, &consistent, &weighted_consistent, &drift);
                 let reference = &reference;
                 move |exec: &Execution, delta: &tm_exec::ir::Delta, orbit: u64| {
-                    checker.advance(exec, delta);
-                    let ok = checker.is_consistent(exec);
+                    let ok = match &mut checker {
+                        Some(checker) => {
+                            checker.advance(exec, delta);
+                            checker.is_consistent(exec)
+                        }
+                        None => model.is_consistent(exec),
+                    };
                     total.fetch_add(1, Ordering::Relaxed);
                     if ok {
                         consistent.fetch_add(1, Ordering::Relaxed);
@@ -691,42 +697,11 @@ fn sweep_legacy(parsed: &SweepArgs, model: &IrModel, config: &SynthConfig) -> Ex
                         }
                     }
                 }
-            });
-            executions += tally.representatives;
-            weighted_executions += tally.weighted;
-        } else if incremental {
-            executions += enumerate_exact_incremental(config, n, || {
-                let mut checker = model.incremental();
-                let (total, consistent, drift) = (&total, &consistent, &drift);
-                let reference = &reference;
-                move |exec: &Execution, delta: &tm_exec::ir::Delta| {
-                    checker.advance(exec, delta);
-                    let ok = checker.is_consistent(exec);
-                    total.fetch_add(1, Ordering::Relaxed);
-                    if ok {
-                        consistent.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if let Some(reference) = reference {
-                        if reference.is_consistent(exec) != ok {
-                            drift.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        } else {
-            executions += enumerate_exact(config, n, |exec| {
-                let ok = model.is_consistent(exec);
-                total.fetch_add(1, Ordering::Relaxed);
-                if ok {
-                    consistent.fetch_add(1, Ordering::Relaxed);
-                }
-                if let Some(reference) = &reference {
-                    if reference.is_consistent(exec) != ok {
-                        drift.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
+            },
+            || false,
+        );
+        executions += tally.representatives;
+        weighted_executions += tally.weighted;
     }
     let secs = start.elapsed().as_secs_f64();
     if reduced {

@@ -566,10 +566,9 @@ pub(crate) fn axiom_holds(axiom: &Axiom, view: &ExecView<'_>) -> bool {
 /// Where [`MemoryModel::check_view`](crate::MemoryModel::check_view) builds
 /// a fresh evaluator per execution, an `IncrementalChecker` lives for a
 /// whole sweep and is told *what changed* between candidates through the
-/// [`Delta`]s that `tm_synth::enumerate_exact_incremental` threads to its
-/// sink. Axiom bodies whose dependency footprint the delta misses keep
-/// their values — and their cached verdicts — across siblings in the
-/// enumeration tree.
+/// [`Delta`]s that `tm_synth::enumerate` threads to its sinks. Axiom
+/// bodies whose dependency footprint the delta misses keep their values —
+/// and their cached verdicts — across siblings in the enumeration tree.
 ///
 /// # Examples
 ///
@@ -811,7 +810,7 @@ impl IrModel {
 
     /// A stateful delta-driven checker for this model — the analogue of
     /// [`IncrementalChecker`] over this model's private pool, for use with
-    /// `tm_synth::enumerate_exact_incremental`.
+    /// `tm_synth::enumerate`.
     pub fn incremental(&self) -> IncrementalModelChecker<'_> {
         IncrementalModelChecker {
             eval: IncrementalEval::new(&self.pool),
@@ -860,8 +859,8 @@ impl crate::MemoryModel for IrModel {
 /// `.cat` text) plug into the incremental enumeration hot path exactly like
 /// the built-in catalog does.
 ///
-/// Borrows the model, so build it inside the per-worker closure of
-/// `enumerate_exact_incremental` (scoped threads keep the borrow legal).
+/// Borrows the model, so build it inside the per-worker `make_sink` closure
+/// of `tm_synth::enumerate` (scoped threads keep the borrow legal).
 pub struct IncrementalModelChecker<'m> {
     eval: IncrementalEval<'m>,
     table: &'m ModelAxioms,

@@ -21,7 +21,7 @@
 //!   weight ([`tm_synth::unit_weight`]); workers always take the heaviest
 //!   pending unit, so the big rocks land first and the tail is small.
 //! * **Splittable units** — a unit heavier than `max_unit_weight` is
-//!   pre-split ([`tm_synth::split_unit`]) into child subtrees with their
+//!   pre-split ([`tm_synth::WorkUnit::split`]) into child subtrees with their
 //!   own stable ids, journalled as [`Record::Split`]. Mid-run, an idle
 //!   worker is a steal request: a worker running a splittable unit
 //!   between-children hands the unfinished children back to the frontier.
@@ -53,9 +53,8 @@ use tm_exec::{ExecView, Execution};
 use tm_models::{CheckerTelemetry, MemoryModel};
 use tm_obs::{Event, Obs, RateWindow};
 use tm_synth::{
-    assemble_suites, canonical_signature, enumerate_unit_incremental, enumerate_unit_reduced,
-    minimal_under_weakenings, split_unit, unit_weight, work_units, CanonSig, ReducedCount,
-    SuiteReport, Symmetry, SynthConfig, WorkUnit,
+    assemble_suites, canonical_signature, enumerate_unit, minimal_under_weakenings, unit_weight,
+    work_units, worker_count, CanonSig, ReducedCount, SuiteReport, Symmetry, SynthConfig, WorkUnit,
 };
 
 use crate::codec::{decode_execution, encode_execution};
@@ -811,7 +810,7 @@ fn expand_leaves(
             out.push(unit);
             return Ok(());
         };
-        let children = split_unit(job.config, &unit.unit, unit.n, job.symmetry);
+        let children = unit.unit.split(job.config, unit.n, job.symmetry);
         let derived: Vec<u64> = children
             .iter()
             .map(|c| c.stable_id(job.config, unit.n))
@@ -896,7 +895,9 @@ fn accounting_frontier(
             && unit.unit.splittable(unit.n)
             && unit_weight(job.config, &unit.unit, unit.n) > threshold
         {
-            for child in split_unit(job.config, &unit.unit, unit.n, job.symmetry)
+            for child in unit
+                .unit
+                .split(job.config, unit.n, job.symmetry)
                 .into_iter()
                 .rev()
             {
@@ -998,9 +999,11 @@ fn run_attempt(
     let tally = match job.mode {
         SweepMode::Counts => {
             if let Some(mut checker) = job.model.incremental_checker() {
-                let tally = expand_unit(
-                    job,
-                    unit,
+                let tally = enumerate_unit(
+                    job.config,
+                    &unit.unit,
+                    unit.n,
+                    job.symmetry,
                     &mut |exec: &Execution, delta: &Delta, orbit: u64| {
                         checker.advance(exec, delta);
                         let ok = checker.is_consistent(exec);
@@ -1019,9 +1022,11 @@ fn run_attempt(
                 checker_telemetry = checker.telemetry();
                 tally
             } else {
-                expand_unit(
-                    job,
-                    unit,
+                enumerate_unit(
+                    job.config,
+                    &unit.unit,
+                    unit.n,
+                    job.symmetry,
                     &mut |exec: &Execution, _delta: &Delta, orbit: u64| {
                         let ok = job.model.is_consistent(exec);
                         if ok {
@@ -1049,9 +1054,11 @@ fn run_attempt(
                 let mut tm_checker = job.model.incremental_checker().expect("probed above");
                 let mut base_checker = baseline.incremental_checker().expect("probed above");
                 let mut probe_buf: Option<Execution> = None;
-                let tally = expand_unit(
-                    job,
-                    unit,
+                let tally = enumerate_unit(
+                    job.config,
+                    &unit.unit,
+                    unit.n,
+                    job.symmetry,
                     &mut |exec: &Execution, delta: &Delta, _orbit: u64| {
                         // Thread the delta before any early-out, exactly as
                         // the live pipeline does.
@@ -1083,9 +1090,11 @@ fn run_attempt(
                 };
                 tally
             } else {
-                expand_unit(
-                    job,
-                    unit,
+                enumerate_unit(
+                    job.config,
+                    &unit.unit,
+                    unit.n,
+                    job.symmetry,
                     &mut |exec: &Execution, _delta: &Delta, _orbit: u64| {
                         if exec.txn_classes().is_empty() {
                             return;
@@ -1132,55 +1141,13 @@ fn run_attempt(
     }))
 }
 
-/// Expands one unit in the job's [`Symmetry`] mode, handing every visited
-/// execution (with its orbit size — always 1 under [`Symmetry::Full`]) to
-/// `sink`. Returns the enumeration tally (kill counters are zero in full
-/// mode, and `weighted == representatives`).
-fn expand_unit(
-    job: &SweepJob<'_>,
-    unit: &UnitRef,
-    sink: &mut impl FnMut(&Execution, &Delta, u64),
-    should_stop: impl Fn() -> bool,
-) -> ReducedCount {
-    match job.symmetry {
-        Symmetry::Full => {
-            let visited = enumerate_unit_incremental(
-                job.config,
-                &unit.unit,
-                unit.n,
-                &mut |exec: &Execution, delta: &Delta| sink(exec, delta, 1),
-                should_stop,
-            );
-            ReducedCount {
-                representatives: visited,
-                weighted: visited as u64,
-                ..ReducedCount::default()
-            }
-        }
-        Symmetry::Reduced => {
-            enumerate_unit_reduced(job.config, &unit.unit, unit.n, sink, should_stop)
-        }
-    }
-}
-
-/// The configured worker thread count — explicit option, `TM_SYNTH_THREADS`
-/// or the machine's parallelism — before clamping to the pending unit
-/// count. The pre-split threshold derives from this (not from
-/// [`worker_threads`]) so it cannot depend on how much work happens to be
-/// pending.
+/// The configured worker thread count — explicit option, else
+/// [`tm_synth::worker_count`] (`TM_SYNTH_THREADS` or the machine's
+/// parallelism) — before clamping to the pending unit count. The pre-split
+/// threshold derives from this (not from [`worker_threads`]) so it cannot
+/// depend on how much work happens to be pending.
 fn configured_threads(opts: &SweepOptions) -> usize {
-    opts.threads
-        .or_else(|| {
-            std::env::var("TM_SYNTH_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .max(1)
+    opts.threads.unwrap_or_else(worker_count).max(1)
 }
 
 fn worker_threads(opts: &SweepOptions, todo: usize) -> usize {
@@ -1266,7 +1233,7 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                 && unit.unit.splittable(unit.n)
                 && unit_weight(job.config, &unit.unit, unit.n) > threshold
             {
-                let children = split_unit(job.config, &unit.unit, unit.n, job.symmetry);
+                let children = unit.unit.split(job.config, unit.n, job.symmetry);
                 let child_ids: Vec<u64> = children
                     .iter()
                     .map(|c| c.stable_id(job.config, unit.n))
@@ -1475,19 +1442,17 @@ pub fn run_sweep(job: &SweepJob<'_>, opts: &SweepOptions) -> Result<SweepOutcome
                                 && attempt_no == 1
                                 && task.unit.unit.splittable(task.unit.n);
                             let run = if childwise {
-                                let children: Vec<UnitRef> = split_unit(
-                                    job.config,
-                                    &task.unit.unit,
-                                    task.unit.n,
-                                    job.symmetry,
-                                )
-                                .into_iter()
-                                .map(|c| UnitRef {
-                                    n: task.unit.n,
-                                    id: c.stable_id(job.config, task.unit.n),
-                                    unit: c,
-                                })
-                                .collect();
+                                let children: Vec<UnitRef> = task
+                                    .unit
+                                    .unit
+                                    .split(job.config, task.unit.n, job.symmetry)
+                                    .into_iter()
+                                    .map(|c| UnitRef {
+                                        n: task.unit.n,
+                                        id: c.stable_id(job.config, task.unit.n),
+                                        unit: c,
+                                    })
+                                    .collect();
                                 run_children(job, &children, run_start, opts, &sched)
                             } else {
                                 let outcome = catch_unwind(AssertUnwindSafe(|| {

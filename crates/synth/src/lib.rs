@@ -5,8 +5,10 @@
 //! explicit bounded search (see DESIGN.md for the substitution argument).
 //! It provides:
 //!
-//! * [`enumerate_exact`] / [`enumerate_all`] — enumeration of every
-//!   well-formed candidate execution within a [`SynthConfig`] bound;
+//! * [`enumerate`] / [`enumerate_unit`] — enumeration of every
+//!   well-formed candidate execution within a [`SynthConfig`] bound, in
+//!   full or symmetry-reduced mode ([`enumerate_exact`] is the
+//!   per-execution convenience);
 //! * [`weakenings`] — the ⊏ execution-weakening order of §4.2 (event
 //!   removal, dependency removal, annotation downgrade, transaction shrink);
 //! * [`synthesise_suites`] — the Forbid (minimally-forbidden) and Allow
@@ -47,11 +49,8 @@ mod weaken;
 pub use canon::{canonical_signature, CanonSig};
 pub use config::SynthConfig;
 pub use enumerate::{
-    enumerate_all, enumerate_exact, enumerate_exact_incremental, enumerate_exact_incremental_until,
-    enumerate_exact_reference, enumerate_exact_until, enumerate_reduced,
-    enumerate_reduced_incremental, enumerate_reduced_incremental_until, enumerate_reduced_until,
-    enumerate_unit_incremental, enumerate_unit_reduced, split_unit, unit_weight, work_units,
-    WorkUnit,
+    enumerate, enumerate_exact, enumerate_exact_incremental, enumerate_exact_reference,
+    enumerate_unit, enumerate_unit_reduced, unit_weight, work_units, worker_count, WorkUnit,
 };
 pub use suite::{
     assemble_suites, find_distinguishing, minimal_under_weakenings, synthesise_suites,

@@ -33,9 +33,8 @@ use tm_models::{DeltaChecker, MemoryModel, Target};
 
 use crate::weaken::{apply_weakening_edits, undo_weakening_edits, weakening_edits, Weakening};
 use crate::{
-    canonical_signature, enumerate_exact, enumerate_exact_incremental,
-    enumerate_exact_incremental_until, enumerate_exact_until, enumerate_reduced_incremental,
-    weakenings, weakenings_with_signatures, CanonSig, Symmetry, SynthConfig,
+    canonical_signature, enumerate, enumerate_exact, weakenings, weakenings_with_signatures,
+    CanonSig, Symmetry, SynthConfig,
 };
 
 /// One synthesised conformance test.
@@ -158,10 +157,9 @@ impl DeltaChecker for CatalogProbe<'_> {
 /// state (which describes `exec`) survives untouched.
 ///
 /// Public because the checkpointed sweep runner (`tm-sweep`) rebuilds the
-/// per-unit Forbid sink out of this probe plus [`enumerate_unit_incremental`]
-/// (see [`crate::enumerate_unit_incremental`]); keeping one implementation
-/// is what makes an interrupted-and-resumed sweep provably identical to
-/// this crate's [`synthesise_suites`].
+/// per-unit Forbid sink out of this probe plus [`crate::enumerate_unit`];
+/// keeping one implementation is what makes an interrupted-and-resumed
+/// sweep provably identical to this crate's [`synthesise_suites`].
 pub fn minimal_under_weakenings(
     checker: &mut dyn DeltaChecker,
     exec: &Execution,
@@ -239,38 +237,6 @@ pub fn synthesise_suites(
     synthesise_suites_with(tm_model, baseline, config, events, Symmetry::Full)
 }
 
-/// Runs one of the suite sweep pipelines' sinks over either the full
-/// enumeration or the symmetry-reduced one. The suite logic never needs the
-/// orbit size per candidate — Forbid membership is invariant under
-/// thread/location renaming and tests are deduplicated by canonical
-/// signature anyway — so the reduced walker's orbit argument is dropped and
-/// only the aggregate tally is kept: `(visited, effective)` where
-/// `effective` is the orbit-weighted candidate count (equal to `visited`
-/// under [`Symmetry::Full`]).
-fn enumerate_for_suites<S>(
-    config: &SynthConfig,
-    events: usize,
-    symmetry: Symmetry,
-    make_sink: impl Fn() -> S + Sync,
-) -> (usize, u64)
-where
-    S: FnMut(&Execution, &Delta),
-{
-    match symmetry {
-        Symmetry::Full => {
-            let visited = enumerate_exact_incremental(config, events, make_sink);
-            (visited, visited as u64)
-        }
-        Symmetry::Reduced => {
-            let tally = enumerate_reduced_incremental(config, events, || {
-                let mut sink = make_sink();
-                move |exec: &Execution, delta: &Delta, _orbit: u64| sink(exec, delta)
-            });
-            (tally.representatives, tally.weighted)
-        }
-    }
-}
-
 /// [`synthesise_suites`] with an explicit [`Symmetry`] mode.
 ///
 /// Under [`Symmetry::Reduced`] the sweep visits exactly one canonical
@@ -297,16 +263,23 @@ pub fn synthesise_suites_with(
     let catalog_pair = tm_model.catalog_target().zip(baseline.catalog_target());
     let incremental =
         tm_model.incremental_checker().is_some() && baseline.incremental_checker().is_some();
-    let (enumerated, effective) =
-        if let Some(((tm_target, tm_cr), (base_target, base_cr))) = catalog_pair {
-            // Both models are built-in: one shared-catalog checker absorbs each
-            // delta once and serves both targets (whose axiom bodies largely
-            // coincide as hash-consed nodes) from the same state.
-            enumerate_for_suites(config, events, symmetry, || {
+    // The suite logic never needs a candidate's orbit size: Forbid
+    // membership is invariant under thread/location renaming and tests are
+    // deduplicated by canonical signature anyway. Only the tally keeps it,
+    // as the orbit-weighted `effective` count.
+    let tally = if let Some(((tm_target, tm_cr), (base_target, base_cr))) = catalog_pair {
+        // Both models are built-in: one shared-catalog checker absorbs each
+        // delta once and serves both targets (whose axiom bodies largely
+        // coincide as hash-consed nodes) from the same state.
+        enumerate(
+            config,
+            events,
+            symmetry,
+            || {
                 let mut checker = IncrementalChecker::new();
                 let mut finds = WorkerFinds::new(&found);
                 let mut probe_buf: Option<Execution> = None;
-                move |exec: &Execution, delta: &Delta| {
+                move |exec: &Execution, delta: &Delta, _orbit: u64| {
                     checker.advance(exec, delta);
                     if exec.stxn.is_empty() {
                         return;
@@ -341,14 +314,20 @@ pub fn synthesise_suites_with(
                     }
                     finds.local.push((sig, exec.clone(), start.elapsed()));
                 }
-            })
-        } else if incremental {
-            enumerate_for_suites(config, events, symmetry, || {
+            },
+            || false,
+        )
+    } else if incremental {
+        enumerate(
+            config,
+            events,
+            symmetry,
+            || {
                 let mut tm_checker = tm_model.incremental_checker().expect("probed above");
                 let mut base_checker = baseline.incremental_checker().expect("probed above");
                 let mut finds = WorkerFinds::new(&found);
                 let mut probe_buf: Option<Execution> = None;
-                move |exec: &Execution, delta: &Delta| {
+                move |exec: &Execution, delta: &Delta, _orbit: u64| {
                     // Thread the delta *before* any early-out: a skipped
                     // candidate still moved the in-place execution, and the
                     // checkers' cached state must follow it.
@@ -373,13 +352,19 @@ pub fn synthesise_suites_with(
                     }
                     finds.local.push((sig, exec.clone(), start.elapsed()));
                 }
-            })
-        } else {
-            // View-based fallback for models without incremental checkers —
-            // still per-worker sinks, so the shared mutex stays cold.
-            enumerate_for_suites(config, events, symmetry, || {
+            },
+            || false,
+        )
+    } else {
+        // View-based fallback for models without incremental checkers —
+        // still per-worker sinks, so the shared mutex stays cold.
+        enumerate(
+            config,
+            events,
+            symmetry,
+            || {
                 let mut finds = WorkerFinds::new(&found);
-                move |exec: &Execution, _delta: &Delta| {
+                move |exec: &Execution, _delta: &Delta, _orbit: u64| {
                     if exec.txn_classes().is_empty() {
                         return;
                     }
@@ -396,14 +381,16 @@ pub fn synthesise_suites_with(
                     }
                     finds.local.push((sig, exec.clone(), start.elapsed()));
                 }
-            })
-        };
+            },
+            || false,
+        )
+    };
 
     assemble_suites(
         tm_model,
         events,
-        enumerated,
-        effective,
+        tally.representatives,
+        tally.weighted,
         found.into_inner().unwrap(),
         start,
     )
@@ -561,13 +548,14 @@ pub fn find_distinguishing(
         let done = AtomicBool::new(false);
         let found: Mutex<Option<Execution>> = Mutex::new(None);
         if let Some(((strong_target, strong_cr), (weak_target, weak_cr))) = catalog_pair {
-            enumerate_exact_incremental_until(
+            enumerate(
                 config,
                 n,
+                Symmetry::Full,
                 || {
                     let mut checker = IncrementalChecker::new();
                     let (done, found) = (&done, &found);
-                    move |exec: &Execution, delta: &Delta| {
+                    move |exec: &Execution, delta: &Delta, _orbit: u64| {
                         checker.advance(exec, delta);
                         if done.load(Ordering::Relaxed) {
                             return;
@@ -594,14 +582,15 @@ pub fn find_distinguishing(
                 || done.load(Ordering::Relaxed),
             );
         } else if incremental {
-            enumerate_exact_incremental_until(
+            enumerate(
                 config,
                 n,
+                Symmetry::Full,
                 || {
                     let mut strong_checker = stronger.incremental_checker().expect("probed above");
                     let mut weak_checker = weaker.incremental_checker().expect("probed above");
                     let (done, found) = (&done, &found);
-                    move |exec: &Execution, delta: &Delta| {
+                    move |exec: &Execution, delta: &Delta, _orbit: u64| {
                         // Keep the cached state coherent even while the
                         // sweep drains after a witness was found.
                         strong_checker.advance(exec, delta);
@@ -618,17 +607,21 @@ pub fn find_distinguishing(
                 || done.load(Ordering::Relaxed),
             );
         } else {
-            enumerate_exact_until(
+            enumerate(
                 config,
                 n,
-                |exec| {
-                    if done.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let view = ExecView::new(exec);
-                    if !stronger.is_consistent_view(&view) && weaker.is_consistent_view(&view) {
-                        done.store(true, Ordering::Relaxed);
-                        found.lock().unwrap().get_or_insert_with(|| exec.clone());
+                Symmetry::Full,
+                || {
+                    let (done, found) = (&done, &found);
+                    move |exec: &Execution, _delta: &Delta, _orbit: u64| {
+                        if done.load(Ordering::Relaxed) {
+                            return;
+                        }
+                        let view = ExecView::new(exec);
+                        if !stronger.is_consistent_view(&view) && weaker.is_consistent_view(&view) {
+                            done.store(true, Ordering::Relaxed);
+                            found.lock().unwrap().get_or_insert_with(|| exec.clone());
+                        }
                     }
                 },
                 || done.load(Ordering::Relaxed),

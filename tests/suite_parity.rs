@@ -19,8 +19,8 @@ use tm_weak_memory::exec::Execution;
 use tm_weak_memory::models::ir::IncrementalChecker;
 use tm_weak_memory::models::{Target, X86Model};
 use tm_weak_memory::synth::{
-    canonical_signature, enumerate_exact_incremental, synthesise_suites,
-    synthesise_suites_per_execution, CanonSig, SuiteReport, SynthConfig,
+    canonical_signature, enumerate, synthesise_suites, synthesise_suites_per_execution, CanonSig,
+    SuiteReport, Symmetry, SynthConfig,
 };
 
 fn signatures(report: &SuiteReport) -> (Vec<CanonSig>, Vec<CanonSig>) {
@@ -138,7 +138,7 @@ fn sweep_removal_deltas_never_invalidate_monotone_nodes() {
     let mut cfg = SynthConfig::x86(3);
     cfg.max_threads = 2;
     let totals = std::sync::Mutex::new((0u64, 0u64));
-    enumerate_exact_incremental(&cfg, 3, || {
+    let make_sink = || {
         let totals = &totals;
         let mut guard = scopeguard(move |checker: &IncrementalChecker| {
             let stats = checker.stats();
@@ -146,12 +146,13 @@ fn sweep_removal_deltas_never_invalidate_monotone_nodes() {
             totals.0 += stats.invalidated;
             totals.1 += stats.maintained;
         });
-        move |exec: &Execution, delta: &Delta| {
+        move |exec: &Execution, delta: &Delta, _orbit: u64| {
             guard.value.advance(exec, delta);
             guard.value.is_consistent(exec, Target::X86Tm);
             guard.value.is_consistent(exec, Target::X86);
         }
-    });
+    };
+    enumerate(&cfg, 3, Symmetry::Full, make_sink, || false);
     let (invalidated, maintained) = *totals.lock().unwrap();
     assert_eq!(
         invalidated, 0,

@@ -1,11 +1,12 @@
 //! Exactness of symmetry-reduced enumeration against the full sweep.
 //!
-//! The reduced enumerator ([`enumerate_reduced`]) must visit **exactly one
-//! representative per isomorphism class** under thread renaming (within the
-//! sorted-partition discipline) and location renaming, and report each
-//! representative's in-space orbit size. These tests pin that contract by
-//! brute force: the full enumeration ([`enumerate_exact`]) is grouped by
-//! canonical signature, and the reduced run must produce one execution per
+//! The reduced enumerator ([`enumerate`] under [`Symmetry::Reduced`]) must
+//! visit **exactly one representative per isomorphism class** under thread
+//! renaming (within the sorted-partition discipline) and location renaming,
+//! and report each representative's in-space orbit size. These tests pin
+//! that contract by brute force: the builder-based reference enumeration
+//! ([`enumerate_exact_reference`]), independent of the engine, is grouped
+//! by canonical signature, and the reduced run must produce one execution per
 //! group whose orbit equals the group's cardinality — so representatives ×
 //! orbits re-covers the full space with no class missed, duplicated, or
 //! miscounted. Suite synthesis is pinned the same way: Forbid/Allow suites
@@ -15,21 +16,23 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+use tm_weak_memory::exec::ir::Delta;
+use tm_weak_memory::exec::Execution;
 use tm_weak_memory::models::Target;
 use tm_weak_memory::synth::{
-    canonical_signature, enumerate_exact, enumerate_reduced, synthesise_suites_with, CanonSig,
+    canonical_signature, enumerate, enumerate_exact_reference, synthesise_suites_with, CanonSig,
     SuiteReport, Symmetry, SynthConfig,
 };
 
 /// Full-space class census: canonical signature → number of enumerated
 /// executions in that class.
 fn full_census(config: &SynthConfig, n: usize) -> (usize, HashMap<CanonSig, u64>) {
-    let census = Mutex::new(HashMap::new());
-    let total = enumerate_exact(config, n, |exec| {
+    let mut census = HashMap::new();
+    let total = enumerate_exact_reference(config, n, |exec| {
         let sig = canonical_signature(exec);
-        *census.lock().unwrap().entry(sig).or_insert(0u64) += 1;
+        *census.entry(sig).or_insert(0u64) += 1;
     });
-    (total, census.into_inner().unwrap())
+    (total, census)
 }
 
 fn assert_reduction_is_exact(config: &SynthConfig, n: usize) {
@@ -37,11 +40,19 @@ fn assert_reduction_is_exact(config: &SynthConfig, n: usize) {
     assert!(total > 0, "empty space, the pin would be vacuous");
 
     let reps = Mutex::new(Vec::new());
-    let tally = enumerate_reduced(config, n, |exec, orbit| {
-        reps.lock()
-            .unwrap()
-            .push((canonical_signature(exec), orbit));
-    });
+    let tally = enumerate(
+        config,
+        n,
+        Symmetry::Reduced,
+        || {
+            |exec: &Execution, _: &Delta, orbit: u64| {
+                reps.lock()
+                    .unwrap()
+                    .push((canonical_signature(exec), orbit));
+            }
+        },
+        || false,
+    );
     let reps = reps.into_inner().unwrap();
 
     // One representative per class, each carrying its class's exact size.
